@@ -1,8 +1,11 @@
 """Embedded planar graphs given by rotation systems.
 
-A graph is stored as one cyclic neighbour list per vertex.  Faces are never
-stored: they are traced on demand with the next-edge-in-rotation rule and
-carry stable ids only within a single trace.
+A graph is stored as one cyclic neighbour list per vertex.  A built graph
+stores no faces: they are traced on first use with the next-edge-in-rotation
+rule and carry stable ids only within a single trace.  During construction,
+``augment.DartBuilder`` keeps the face list up to date, in the same order
+and with the same starts as that trace, so generating or augmenting a graph
+never re-traces it.
 """
 from __future__ import annotations
 

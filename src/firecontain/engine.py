@@ -359,7 +359,8 @@ def min_burned_containment(
             return ContainmentResult("feasible", trace=t, proven=True)
 
     if burn_cap <= REGION_ENUM_MAX_CAP:
-        return _contain_by_region_enum(g, start, schedule, burn_cap, bound)
+        return _contain_by_region_enum(g, start, schedule, burn_cap, bound,
+                                       node_limit)
     return _contain_by_dfs(g, start, schedule, burn_cap, bound, node_limit)
 
 
@@ -369,8 +370,8 @@ def _containment_round(trace: SimTrace) -> int:
 
 # .. exact region enumeration (small caps) ..................................
 
-def _contain_by_region_enum(g, start, schedule, burn_cap, round_bound
-                            ) -> ContainmentResult:
+def _contain_by_region_enum(g, start, schedule, burn_cap, round_bound,
+                            node_limit) -> ContainmentResult:
     """Exact containment decision for small caps.
 
     Any contained outcome has a connected final burned region B containing
@@ -378,10 +379,16 @@ def _contain_by_region_enum(g, start, schedule, burn_cap, round_bound
     protected), so every wall vertex w adjacent to B carries the hard
     deadline 1 + dist_B(start, nearest B-neighbour of w).  Containment is
     possible iff some B admits an earliest-deadline-first wall schedule
-    within the budgets, which is checked exactly.
+    within the budgets, which is checked exactly.  Each region counts as
+    one node against ``node_limit``: next to a high-degree hub there are
+    millions of regions.
     """
     best = None  # (size, sorted B, plan, rounds)
+    nodes = 0
     for region in _connected_regions(g, start, burn_cap):
+        nodes += 1
+        if nodes > node_limit:
+            return ContainmentResult("timeout", proven=False, nodes=nodes)
         plan = _wall_schedule(g, start, schedule, region, round_bound)
         if plan is None:
             continue
@@ -389,20 +396,20 @@ def _contain_by_region_enum(g, start, schedule, burn_cap, round_bound
         if best is None or key < best[0]:
             best = (key, plan)
     if best is None:
-        return ContainmentResult("infeasible", proven=True)
+        return ContainmentResult("infeasible", proven=True, nodes=nodes)
     trace = run_simulation(g, start, schedule, plan_strategy(best[1]))
     assert trace.burned_count <= burn_cap
     assert _containment_round(trace) <= round_bound
-    return ContainmentResult("feasible", trace=trace, proven=True)
+    return ContainmentResult("feasible", trace=trace, proven=True,
+                             nodes=nodes)
 
 
 def _connected_regions(g: EmbeddedGraph, start: int, max_size: int):
     """All connected vertex sets containing ``start`` of size <= max_size,
-    each yielded exactly once."""
-    out = []
+    each yielded exactly once, lazily."""
 
     def rec(region: set[int], ext: list[int], banned: set[int]):
-        out.append(frozenset(region))
+        yield frozenset(region)
         if len(region) == max_size:
             return
         local_ban = set(banned)
@@ -412,12 +419,11 @@ def _connected_regions(g: EmbeddedGraph, start: int, max_size: int):
                      and w not in ext[i + 1:] and w != start
                      and w not in ext[:i + 1]]
             region.add(v)
-            rec(region, ext[i + 1:] + grown, local_ban)
+            yield from rec(region, ext[i + 1:] + grown, local_ban)
             region.discard(v)
             local_ban.add(v)
 
-    rec({start}, sorted(g.adjacency[start]), set())
-    return out
+    return rec({start}, sorted(g.adjacency[start]), set())
 
 
 def _wall_schedule(g, start, schedule, region, round_bound

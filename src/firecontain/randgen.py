@@ -7,10 +7,10 @@ from __future__ import annotations
 
 import random
 
+from .augment import DartBuilder
 from .embedding import EmbeddedGraph, build
 from .errors import BadParameter
 from .families import cycle
-from .augment import insert_vertex_in_face
 
 
 def random_triangulation(n: int, seed: int) -> EmbeddedGraph:
@@ -20,11 +20,10 @@ def random_triangulation(n: int, seed: int) -> EmbeddedGraph:
     if n < 3:
         raise BadParameter("triangulation needs n >= 3")
     rng = random.Random(seed)
-    g = cycle(3)
-    while g.n < n:
-        face = rng.choice(g.faces())
-        g = insert_vertex_in_face(g, face, [0, 1, 2])
-    return g
+    b = DartBuilder(cycle(3))
+    while b.n < n:
+        b.insert_vertex(rng.choice(b.faces), [0, 1, 2])
+    return b.freeze()
 
 
 def random_tf_maximal(n: int, seed: int) -> EmbeddedGraph:
@@ -37,12 +36,12 @@ def random_tf_maximal(n: int, seed: int) -> EmbeddedGraph:
     if n < 4:
         raise BadParameter("quadrangulation needs n >= 4")
     rng = random.Random(seed)
-    g = cycle(4)
-    while g.n < n:
-        face = rng.choice(g.faces())
+    b = DartBuilder(cycle(4))
+    while b.n < n:
+        face = rng.choice(b.faces)
         corner = rng.randrange(2)
-        g = insert_vertex_in_face(g, face, [corner, corner + 2])
-    return g
+        b.insert_vertex(face, [corner, corner + 2])
+    return b.freeze()
 
 
 def subdivide(g: EmbeddedGraph, times: int) -> EmbeddedGraph:

@@ -203,7 +203,7 @@ def _certify_k2n_upper(g: EmbeddedGraph, instance: str,
     threshold = Fraction(2, g.n)
     return Certificate(
         theorem="k2n_upper", instance=instance, n=g.n, rate=exact.rate,
-        mode="exact", threshold=threshold,
+        mode=exact.mode, threshold=threshold,
         passed=(not exact.partial) and exact.rate <= threshold,
         direction="upper",
         notes={"exact_rate":

@@ -4,8 +4,11 @@ These deliberately enumerate without pruning or memoization so that the
 optimized solvers can be checked against them on small instances.
 """
 import itertools
+import random
 
+from firecontain.embedding import build
 from firecontain.engine import frontier
+from firecontain.families import cycle
 
 
 def sn_reference(g, start, schedule):
@@ -75,3 +78,118 @@ def connected_subsets_reference(g, start, max_size):
             if seen == s:
                 out.add(frozenset(s))
     return out
+
+
+# -- construction by rebuilding after every insertion ------------------------
+
+def assert_same_graph(a, b):
+    """Equal rotations, positions, labels and traced face list."""
+    assert a.rotations == b.rotations
+    assert a.positions == b.positions
+    assert a.labels == b.labels
+    assert [f.boundary for f in a.faces()] == [f.boundary for f in b.faces()]
+
+
+def insert_chord_reference(g, face, i, j):
+    """Chord insertion by copying and re-validating the whole graph."""
+    b = face.boundary
+    k = len(b)
+    u, v = b[i], b[j]
+    rot = [list(r) for r in g.rotations]
+    pu = b[(i - 1) % k]
+    pv = b[(j - 1) % k]
+    rot[u].insert(rot[u].index(pu) + 1, v)
+    rot[v].insert(rot[v].index(pv) + 1, u)
+    return build(rot, labels=g.labels, positions=g.positions)
+
+
+def insert_vertex_reference(g, face, attach_positions, position=None):
+    """Vertex insertion by copying and re-validating the whole graph."""
+    b = face.boundary
+    k = len(b)
+    new = g.n
+    rot = [list(r) for r in g.rotations]
+    for p in attach_positions:
+        prev = b[(p - 1) % k]
+        rot[b[p]].insert(rot[b[p]].index(prev) + 1, new)
+    rot.append([b[p] for p in reversed(attach_positions)])
+    pos = None
+    if g.positions is not None:
+        if position is None:
+            xs = [g.positions[b[p]][0] for p in attach_positions]
+            ys = [g.positions[b[p]][1] for p in attach_positions]
+            position = (sum(xs) / len(xs), sum(ys) / len(ys))
+        pos = list(g.positions) + [position]
+    return build(rot, positions=pos)
+
+
+def random_triangulation_reference(n, seed):
+    """Stacked triangulation, re-tracing every face after each vertex."""
+    rng = random.Random(seed)
+    g = cycle(3)
+    while g.n < n:
+        face = rng.choice(g.faces())
+        g = insert_vertex_reference(g, face, [0, 1, 2])
+    return g
+
+
+def random_tf_maximal_reference(n, seed):
+    """Stacked quadrangulation, re-tracing every face after each vertex."""
+    rng = random.Random(seed)
+    g = cycle(4)
+    while g.n < n:
+        face = rng.choice(g.faces())
+        corner = rng.randrange(2)
+        g = insert_vertex_reference(g, face, [corner, corner + 2])
+    return g
+
+
+def augment_maximal_planar_reference(g):
+    """Fan-triangulate the first big face from its least root whose chord
+    is new, re-tracing every face after each chord."""
+    while True:
+        face = next((f for f in g.faces() if f.degree > 3), None)
+        if face is None:
+            return g
+        b = face.boundary
+        k = len(b)
+        chord = None
+        for _, p in sorted((b[p], p) for p in range(k)):
+            for step in range(2, k - 1):
+                q = (p + step) % k
+                if b[p] != b[q] and not g.has_edge(b[p], b[q]):
+                    chord = (p, q)
+                    break
+            if chord:
+                break
+        assert chord is not None
+        g = insert_chord_reference(g, face, *chord)
+
+
+def augment_maximal_triangle_free_reference(g):
+    """Insert the first triangle-avoiding chord of the first face of degree
+    >= 5 that has one, re-tracing every face after each chord."""
+    while True:
+        chord = None
+        for face in g.faces():
+            k = face.degree
+            if k < 5:
+                continue
+            b = face.boundary
+            for i in range(k):
+                for step in range(2, k - 1):
+                    j = (i + step) % k
+                    u, v = b[i], b[j]
+                    if u == v or g.has_edge(u, v):
+                        continue
+                    if g.adjacency[u] & g.adjacency[v]:
+                        continue
+                    chord = (face, i, j)
+                    break
+                if chord:
+                    break
+            if chord:
+                break
+        if chord is None:
+            return g
+        g = insert_chord_reference(g, *chord)

@@ -221,6 +221,15 @@ def test_planar_random_triangulations_all_labelled():
             assert int(lab.split("_")[1]) == g.degree(v)
 
 
+def test_planar_region_enumeration_respects_node_limit():
+    # a degree-6 start among high-degree neighbours has too many cap-6
+    # regions to enumerate: the search must stop at the limit and report
+    # the start as undecided instead of running on
+    g = randgen.random_triangulation(300, 70)
+    rep = classify_planar(g, node_limit=20_000)
+    assert any(ev["rule"] == "exact_unknown" for ev in rep.evidence.values())
+
+
 def test_tf_cube_all_config31():
     rep = classify_triangle_free(F.platonic("cube"))
     assert rep.count("X_3") == 8

@@ -1,5 +1,10 @@
-from firecontain import randgen
+from firecontain import augment, randgen
 from firecontain.families import cycle
+from oracles import (
+    assert_same_graph,
+    random_tf_maximal_reference,
+    random_triangulation_reference,
+)
 
 
 def test_random_triangulation():
@@ -49,3 +54,27 @@ def test_random_girth5_planar():
         g = randgen.random_girth5_planar(60, seed)
         assert g.n <= 60
         assert g.girth() >= 5 or g.girth() == math.inf
+
+
+def test_generators_match_rebuilding_reference():
+    for seed in range(1, 13):
+        assert_same_graph(randgen.random_triangulation(40, seed),
+                          random_triangulation_reference(40, seed))
+        assert_same_graph(randgen.random_tf_maximal(40, seed),
+                          random_tf_maximal_reference(40, seed))
+
+
+def test_generation_validates_once(monkeypatch):
+    # one build per generated graph, not one per inserted vertex
+    calls = []
+    real = augment.build
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(augment, "build", counting)
+    randgen.random_triangulation(50, 3)
+    assert len(calls) == 1
+    randgen.random_tf_maximal(50, 3)
+    assert len(calls) == 2

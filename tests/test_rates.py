@@ -136,3 +136,10 @@ def test_rates_csv_and_json():
     rep = surviving_rate_exact(F.path(3), Schedule.constant(1))
     obj = json.loads(rates.rate_report_json_str(rep))
     assert obj["rate"] == "5/9"
+
+
+def test_certify_k2n_upper_partial_is_not_exact():
+    cert = certify_bound(F.complete_bipartite_2_m(4), "k2n_upper",
+                         node_limit=1)
+    assert cert.mode == "strategy_lower_bound"
+    assert not cert.passed
