@@ -9,6 +9,7 @@ never re-traces it.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -89,6 +90,12 @@ class EmbeddedGraph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency[u]
+
+    @cached_property
+    def neighbour_masks(self) -> tuple[int, ...]:
+        """Bit mask of each vertex's neighbours: bit u of entry v is set
+        iff u is adjacent to v."""
+        return tuple(sum(1 << u for u in r) for r in self.rotations)
 
     @cached_property
     def num_edges(self) -> int:
@@ -225,6 +232,73 @@ class EmbeddedGraph:
     def is_triangle_free(self) -> bool:
         adj = self.adjacency
         return not any(adj[u] & adj[v] for u, v in self.edges())
+
+    # -- symmetry ------------------------------------------------------------
+
+    @cached_property
+    def automorphisms(self) -> tuple[tuple[int, ...], ...]:
+        """All automorphisms of the map, orientation-preserving or
+        reversing, as sorted vertex permutations (``p[v]`` is the image of
+        v).  Each is also an automorphism of the graph.
+
+        A map automorphism is fixed by the image of one dart and by
+        whether it keeps or reverses the rotations, so every candidate
+        (image dart, orientation) is propagated through the rotations in
+        O(m) and kept if consistent.  The base dart leaves a vertex of the
+        rarest degree, which has the fewest candidate images.
+        """
+        rot = self.rotations
+        if self.n == 1:
+            return ((0,),)
+        pos = [{u: i for i, u in enumerate(r)} for r in rot]
+        count = Counter(len(r) for r in rot)
+        base = min(range(self.n), key=lambda v: (count[len(rot[v])], v))
+        found = set()
+        for image in range(self.n):
+            if len(rot[image]) == len(rot[base]):
+                for i in range(len(rot[image])):
+                    for sign in (1, -1):
+                        p = _propagate_map(rot, pos, base, image, i, sign)
+                        if p is not None:
+                            found.add(p)
+        return tuple(sorted(found))
+
+    @cached_property
+    def orbit_minima(self) -> tuple[int, ...]:
+        """The least vertex of each vertex's orbit under the map
+        automorphisms."""
+        auts = self.automorphisms
+        return tuple(min(p[v] for p in auts) for v in range(self.n))
+
+
+def _propagate_map(rot, pos, base: int, image: int, offset: int,
+                   sign: int) -> Optional[tuple[int, ...]]:
+    """The map automorphism sending dart (base, rot[base][0]) to
+    (image, rot[image][offset]), keeping the rotations (sign 1) or
+    reversing them (sign -1); None if there is none."""
+    p = [-1] * len(rot)
+    taken = [False] * len(rot)
+    p[base] = image
+    taken[image] = True
+    # (u, a, b): dart (u, rot[u][a]) maps to (p[u], rot[p[u]][b])
+    queue = [(base, 0, offset)]
+    for u, a, b in queue:
+        src, dst = rot[u], rot[p[u]]
+        d = len(src)
+        if len(dst) != d:
+            return None
+        for j in range(d):
+            x = src[(a + j) % d]
+            y = dst[(b + sign * j) % d]
+            if p[x] < 0:
+                if taken[y]:
+                    return None
+                p[x] = y
+                taken[y] = True
+                queue.append((x, pos[x][u], pos[y][p[u]]))
+            elif p[x] != y:
+                return None
+    return tuple(p)
 
 
 def build(

@@ -4,15 +4,20 @@ Round convention: the fire ignites at round 0; firefighters act at rounds
 1, 2, ... before each spread.  Protecting fewer vertices than the budget
 (including none) is legal.
 
-Exact search comes in two flavours:
+Exact search:
 
-* ``sn_exact`` maximises the saved count by memoized depth-first
-  branch-and-bound over per-round protection subsets.
-* ``min_burned_containment`` decides whether the fire can be contained
-  within a burned-vertex cap.  For small caps it enumerates all candidate
-  final burned regions and checks an earliest-deadline-first schedule for
-  the surrounding wall, which is exact and proves infeasibility.  For
-  large caps it falls back to heuristic probes plus a capped DFS.
+* ``sn_exact`` maximises the saved count and ``_contain_by_dfs`` decides
+  containment within a burned-vertex cap.  Both are memoized depth-first
+  searches over per-round protection subsets on one bitset layer: the
+  burning and protected sets are ``int`` masks, the neighbour masks are
+  cached on the graph, N(burning) is carried from node to child, and one
+  layered flood of the free component yields the candidates, in the order
+  (distance, -degree, vertex), and the protected vertices that matter to
+  the state's key.
+* ``min_burned_containment`` tries heuristic probes first.  For small caps
+  it then enumerates all candidate final burned regions and checks an
+  earliest-deadline-first schedule for the surrounding wall, which is
+  exact and proves infeasibility; for large caps it runs the DFS.
 """
 from __future__ import annotations
 
@@ -212,7 +217,7 @@ DEFAULT_PROBES: tuple[Decide, ...] = (
 )
 
 
-# -- exact maximum save count ----------------------------------------------
+# -- exact search results ----------------------------------------------------
 
 @dataclass(frozen=True)
 class SnResult:
@@ -230,32 +235,98 @@ class _NodeLimit(Exception):
     pass
 
 
-def _reachable_free(g: EmbeddedGraph, burning: frozenset[int],
-                    protected: frozenset[int]) -> dict[int, int]:
-    """Distances from the burning set through free vertices."""
-    dist: dict[int, int] = {}
-    queue: list[int] = []
-    for u in burning:
-        for w in g.adjacency[u]:
-            if w not in burning and w not in protected and w not in dist:
-                dist[w] = 1
-                queue.append(w)
-    for u in queue:
-        for w in g.adjacency[u]:
-            if w not in burning and w not in protected and w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
+# -- bitset search layer ------------------------------------------------------
+#
+# Both exact searches hold the burning set B and the protected set P as int
+# bit masks (bit v for vertex v) and carry N(B), the union of the neighbour
+# masks of B, from each node to its children.  The frontier is then
+# N(B) & ~(B | P), and a child ORs in the masks of its newly burned
+# vertices only.
 
+
+def _vertices(x: int) -> list[int]:
+    """The vertices of bit mask ``x``, ascending."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
+
+
+def _neighbourhood(masks: Sequence[int], x: int) -> int:
+    """N(x): the union of the neighbour masks of the vertices of ``x``."""
+    out = 0
+    for v in _vertices(x):
+        out |= masks[v]
+    return out
+
+
+def _flood(masks: Sequence[int], front: int, blocked: int
+           ) -> tuple[list[int], int]:
+    """Distance layers of the free vertices reachable from the burning set,
+    from its free neighbours ``front`` through vertices outside
+    ``blocked`` (burning or protected), and N(reach)."""
+    layers = []
+    reach_nbhd = 0
+    seen = blocked | front
+    layer = front
+    while layer:
+        layers.append(layer)
+        nbhd = _neighbourhood(masks, layer)
+        reach_nbhd |= nbhd
+        layer = nbhd & ~seen
+        seen |= layer
+    return layers, reach_nbhd
+
+
+def _search_rank(g: EmbeddedGraph) -> list[int]:
+    """rank[v] orders vertices by (-degree, v)."""
+    rank = [0] * g.n
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    for i, v in enumerate(order):
+        rank[v] = i
+    return rank
+
+
+def _candidates(layers: Sequence[int], rank: Sequence[int]) -> list[int]:
+    """The vertices of ``layers`` in the search order (distance, -degree,
+    vertex)."""
+    out = []
+    for layer in layers:
+        out.extend(sorted(_vertices(layer), key=rank.__getitem__))
+    return out
+
+
+def _children(burning: int, protected: int, front: int,
+              cands: Sequence[int], k: int):
+    """(protected vertices, child burning set, child protected set) for
+    each k-subset of ``cands``, in combination order: the protections come
+    first, then the fire takes the rest of the frontier."""
+    for combo in itertools.combinations(cands, k):
+        bits = 0
+        for v in combo:
+            bits |= 1 << v
+        yield combo, burning | (front & ~bits), protected | bits
+
+
+# -- exact maximum save count ----------------------------------------------
 
 def sn_exact(g: EmbeddedGraph, start: int, schedule: Schedule,
              node_limit: int = 10_000_000) -> SnResult:
     """Exact maximum number of savable vertices, with a witnessing trace.
 
+    Memoized depth-first branch-and-bound over per-round protection
+    subsets of the free vertices reachable from the fire.  A state is
+    keyed by its burning set, the protected vertices next to the burning
+    set or to the free component, and the round's budget.
+
     Returns a non-optimal result carrying the best known lower bound when
     the node limit is hit.
     """
     n = g.n
+    masks = g.neighbour_masks
+    rank = _search_rank(g)
     memo: dict = {}
     nodes = 0
     best_probe = None
@@ -264,43 +335,41 @@ def sn_exact(g: EmbeddedGraph, start: int, schedule: Schedule,
         if best_probe is None or t.saved > best_probe.saved:
             best_probe = t
 
-    def solve(burning: frozenset, protected: frozenset, round_no: int):
-        """Return (value, plan) exact for this state."""
+    def solve(burning: int, nbhd: int, protected: int, round_no: int):
+        """Return (value, plan) exact for this state; ``nbhd`` is
+        N(burning)."""
         nonlocal nodes
         nodes += 1
         if nodes > node_limit:
             raise _NodeLimit
+        blocked = burning | protected
+        front = nbhd & ~blocked
+        if not front:
+            return n - burning.bit_count(), []
         budget = schedule.budget(round_no)
-        dist = _reachable_free(g, burning, protected)
-        if not any(d == 1 for d in dist.values()):
-            return n - len(burning), []
-        relevant_prot = frozenset(
-            p for p in protected
-            if any(w in dist or w in burning for w in g.adjacency[p]))
-        key = (burning, relevant_prot, budget)
+        layers, reach_nbhd = _flood(masks, front, blocked)
+        key = (burning, protected & (reach_nbhd | nbhd), budget)
         if key in memo:
             return memo[key]
-        cands = sorted(dist, key=lambda v: (dist[v], -g.degree(v), v))
-        k = min(budget, len(cands))
+        cands = _candidates(layers, rank)
         best_val, best_plan = -1, None
-        for combo in itertools.combinations(cands, k):
-            prot2 = protected | frozenset(combo)
-            newly = frontier(g, burning, prot2)
-            burn2 = burning | newly
+        for combo, burn2, prot2 in _children(burning, protected, front,
+                                             cands, min(budget, len(cands))):
             # child's value can never beat this bound
-            ub = n - len(burn2)
-            if ub <= best_val:
+            if n - burn2.bit_count() <= best_val:
                 continue
-            val, plan = solve(burn2, prot2, round_no + 1)
+            val, plan = solve(
+                burn2, nbhd | _neighbourhood(masks, burn2 & ~burning),
+                prot2, round_no + 1)
             if val > best_val:
                 best_val, best_plan = val, [list(combo)] + plan
         if best_val < 0:  # no candidates at all: fire already contained
-            best_val, best_plan = n - len(burning), []
+            best_val, best_plan = n - burning.bit_count(), []
         memo[key] = (best_val, best_plan)
         return best_val, best_plan
 
     try:
-        value, plan = solve(frozenset([start]), frozenset(), 1)
+        value, plan = solve(1 << start, masks[start], 0, 1)
     except _NodeLimit:
         return SnResult(value=best_probe.saved, trace=best_probe,
                         optimal=False, nodes=nodes)
@@ -447,8 +516,11 @@ def _wall_schedule(g, start, schedule, region, round_bound
                 d = dist[u] + 1
                 if w not in walls or d < walls[w]:
                     walls[w] = d
+    # every wall is due by the last deadline, so more walls than the
+    # protections available by then cannot all be placed
+    if len(walls) > schedule.cumulative(max(walls.values(), default=0)):
+        return None
     plan: list[list[int]] = []
-    used = 0
     for w, deadline in sorted(walls.items(), key=lambda kv: (kv[1], kv[0])):
         round_no = 1
         while len(plan) >= round_no and \
@@ -459,7 +531,6 @@ def _wall_schedule(g, start, schedule, region, round_bound
         while len(plan) < round_no:
             plan.append([])
         plan[round_no - 1].append(w)
-        used += 1
     last_spread = max(dist.values(), default=0)
     if max(len(plan), last_spread) > round_bound:
         return None
@@ -470,59 +541,62 @@ def _wall_schedule(g, start, schedule, region, round_bound
 
 def _contain_by_dfs(g, start, schedule, burn_cap, round_bound, node_limit
                     ) -> ContainmentResult:
+    """Exact containment decision by depth-first search over protection
+    subsets, on the bitset layer of ``sn_exact``.  A state that fails is
+    remembered with its round, keyed like a ``sn_exact`` state.  The
+    checks that need only the frontier run before the flood of the free
+    component."""
+    masks = g.neighbour_masks
+    rank = _search_rank(g)
     nodes = 0
     failed: set = set()
-    found: list[list[list[int]]] = []
 
-    def rec(burning: frozenset, protected: frozenset, round_no: int) -> bool:
+    def rec(burning: int, nbhd: int, protected: int, round_no: int
+            ) -> Optional[list[list[int]]]:
+        """A protection plan from this state within both caps, or None;
+        ``nbhd`` is N(burning)."""
         nonlocal nodes
         nodes += 1
         if nodes > node_limit:
             raise _NodeLimit
-        dist = _reachable_free(g, burning, protected)
-        front = [v for v, d in dist.items() if d == 1]
+        blocked = burning | protected
+        front = nbhd & ~blocked
         if not front:
-            found.append([])
-            return True
+            return []
         if round_no > round_bound:
-            return False
-        allowance = burn_cap - len(burning)
+            return None
+        allowance = burn_cap - burning.bit_count()
         budget = schedule.budget(round_no)
-        if len(front) - budget > allowance:
-            return False
-        relevant_prot = frozenset(
-            p for p in protected
-            if any(w in dist or w in burning for w in g.adjacency[p]))
+        if front.bit_count() - budget > allowance:
+            return None
+        layers, reach_nbhd = _flood(masks, front, blocked)
         # round_no matters: the same state may fail purely because fewer
         # rounds remain, so it cannot be cached round-independently
-        key = (burning, relevant_prot, round_no)
+        key = (burning, protected & (reach_nbhd | nbhd), round_no)
         if key in failed:
-            return False
+            return None
         # dist - allowance never decreases while the fire spreads, so a
         # vertex beyond allowance + 1 can neither burn within the cap nor
         # ever need protection in a within-cap trajectory
-        cands = sorted((v for v, d in dist.items() if d <= allowance + 1),
-                       key=lambda v: (dist[v], -g.degree(v), v))
-        k = min(budget, len(cands))
-        for combo in itertools.combinations(cands, k):
-            prot2 = protected | frozenset(combo)
-            newly = frontier(g, burning, prot2)
-            burn2 = burning | newly
-            if len(burn2) > burn_cap:
+        cands = _candidates(layers[:allowance + 1], rank)
+        for combo, burn2, prot2 in _children(burning, protected, front,
+                                             cands, min(budget, len(cands))):
+            if burn2.bit_count() > burn_cap:
                 continue
-            if rec(burn2, prot2, round_no + 1):
-                found[0].insert(0, list(combo))
-                return True
+            plan = rec(burn2, nbhd | _neighbourhood(masks, burn2 & ~burning),
+                       prot2, round_no + 1)
+            if plan is not None:
+                return [list(combo)] + plan
         failed.add(key)
-        return False
+        return None
 
     try:
-        ok = rec(frozenset([start]), frozenset(), 1)
+        plan = rec(1 << start, masks[start], 0, 1)
     except _NodeLimit:
         return ContainmentResult("timeout", proven=False, nodes=nodes)
-    if not ok:
+    if plan is None:
         return ContainmentResult("infeasible", proven=True, nodes=nodes)
-    trace = run_simulation(g, start, schedule, plan_strategy(found[0]))
+    trace = run_simulation(g, start, schedule, plan_strategy(plan))
     assert trace.burned_count <= burn_cap
     return ContainmentResult("feasible", trace=trace, proven=True,
                              nodes=nodes)

@@ -67,14 +67,26 @@ def _rate_from_saved(saved: dict[int, int], n: int) -> Fraction:
 def surviving_rate_exact(g: EmbeddedGraph, schedule: Schedule,
                          node_limit: int = 10_000_000,
                          instance: str = "") -> RateReport:
-    """Exact rate via one solver call per start.  If any start hits the
-    node limit the report is marked partial and the rate is a lower
-    bound."""
+    """Exact rate via one solver call per orbit of starts.
+
+    A map automorphism carries every protection sequence from one start
+    to an equally good one from its image, so the saved count is the same
+    for every start in an orbit of ``g.automorphisms``.  Each start copies
+    the saved count of the least vertex of its orbit when that vertex was
+    solved to optimality, and is solved itself otherwise, so that the
+    per-start lower bounds of a partial report are those of its own
+    solve.  If any solved start hits the node limit the report is marked
+    partial and the rate is a lower bound."""
     saved: dict[int, int] = {}
+    optimal: dict[int, bool] = {}
     partial = False
-    for v in range(g.n):
+    for v, least in enumerate(g.orbit_minima):
+        if least != v and optimal[least]:
+            saved[v] = saved[least]
+            continue
         res = sn_exact(g, v, schedule, node_limit=node_limit)
         saved[v] = res.value
+        optimal[v] = res.optimal
         partial = partial or not res.optimal
     return RateReport(
         instance=instance, schedule=schedule,

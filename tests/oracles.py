@@ -7,7 +7,14 @@ import itertools
 import random
 
 from firecontain.embedding import build
-from firecontain.engine import frontier
+from firecontain.engine import (
+    DEFAULT_PROBES,
+    ContainmentResult,
+    SnResult,
+    frontier,
+    plan_strategy,
+    run_simulation,
+)
 from firecontain.families import cycle
 
 
@@ -58,6 +65,179 @@ def containment_reference(g, start, schedule, burn_cap, round_cap):
         return False
 
     return rec(frozenset([start]), frozenset(), 1)
+
+
+# -- the exact searches on frozenset states -----------------------------------
+#
+# The memoized searches as they were before the bitset layer: the same
+# keys, candidate order and pruning, so node counts, values, witnesses and
+# timeouts must match the engine's exactly.
+
+class _NodeLimit(Exception):
+    pass
+
+
+def _reachable_free(g, burning, protected):
+    """Distances from the burning set through free vertices."""
+    dist = {}
+    queue = []
+    for u in burning:
+        for w in g.adjacency[u]:
+            if w not in burning and w not in protected and w not in dist:
+                dist[w] = 1
+                queue.append(w)
+    for u in queue:
+        for w in g.adjacency[u]:
+            if w not in burning and w not in protected and w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def sn_exact_frozenset(g, start, schedule, node_limit=10_000_000):
+    """``engine.sn_exact`` over frozenset states."""
+    n = g.n
+    memo = {}
+    nodes = 0
+    best_probe = None
+    for probe in DEFAULT_PROBES:
+        t = run_simulation(g, start, schedule, probe)
+        if best_probe is None or t.saved > best_probe.saved:
+            best_probe = t
+
+    def solve(burning, protected, round_no):
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_limit:
+            raise _NodeLimit
+        budget = schedule.budget(round_no)
+        dist = _reachable_free(g, burning, protected)
+        if not any(d == 1 for d in dist.values()):
+            return n - len(burning), []
+        relevant_prot = frozenset(
+            p for p in protected
+            if any(w in dist or w in burning for w in g.adjacency[p]))
+        key = (burning, relevant_prot, budget)
+        if key in memo:
+            return memo[key]
+        cands = sorted(dist, key=lambda v: (dist[v], -g.degree(v), v))
+        k = min(budget, len(cands))
+        best_val, best_plan = -1, None
+        for combo in itertools.combinations(cands, k):
+            prot2 = protected | frozenset(combo)
+            burn2 = burning | frontier(g, burning, prot2)
+            if n - len(burn2) <= best_val:
+                continue
+            val, plan = solve(burn2, prot2, round_no + 1)
+            if val > best_val:
+                best_val, best_plan = val, [list(combo)] + plan
+        if best_val < 0:
+            best_val, best_plan = n - len(burning), []
+        memo[key] = (best_val, best_plan)
+        return best_val, best_plan
+
+    try:
+        value, plan = solve(frozenset([start]), frozenset(), 1)
+    except _NodeLimit:
+        return SnResult(value=best_probe.saved, trace=best_probe,
+                        optimal=False, nodes=nodes)
+    trace = run_simulation(g, start, schedule, plan_strategy(plan))
+    assert trace.saved == value
+    return SnResult(value=value, trace=trace, optimal=True, nodes=nodes)
+
+
+def contain_by_dfs_frozenset(g, start, schedule, burn_cap, round_bound,
+                             node_limit):
+    """``engine._contain_by_dfs`` over frozenset states, flooding the free
+    component at every node."""
+    nodes = 0
+    failed = set()
+    found = []
+
+    def rec(burning, protected, round_no):
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_limit:
+            raise _NodeLimit
+        dist = _reachable_free(g, burning, protected)
+        front = [v for v, d in dist.items() if d == 1]
+        if not front:
+            found.append([])
+            return True
+        if round_no > round_bound:
+            return False
+        allowance = burn_cap - len(burning)
+        budget = schedule.budget(round_no)
+        if len(front) - budget > allowance:
+            return False
+        relevant_prot = frozenset(
+            p for p in protected
+            if any(w in dist or w in burning for w in g.adjacency[p]))
+        key = (burning, relevant_prot, round_no)
+        if key in failed:
+            return False
+        cands = sorted((v for v, d in dist.items() if d <= allowance + 1),
+                       key=lambda v: (dist[v], -g.degree(v), v))
+        k = min(budget, len(cands))
+        for combo in itertools.combinations(cands, k):
+            prot2 = protected | frozenset(combo)
+            burn2 = burning | frontier(g, burning, prot2)
+            if len(burn2) > burn_cap:
+                continue
+            if rec(burn2, prot2, round_no + 1):
+                found[0].insert(0, list(combo))
+                return True
+        failed.add(key)
+        return False
+
+    try:
+        ok = rec(frozenset([start]), frozenset(), 1)
+    except _NodeLimit:
+        return ContainmentResult("timeout", proven=False, nodes=nodes)
+    if not ok:
+        return ContainmentResult("infeasible", proven=True, nodes=nodes)
+    trace = run_simulation(g, start, schedule, plan_strategy(found[0]))
+    assert trace.burned_count <= burn_cap
+    return ContainmentResult("feasible", trace=trace, proven=True,
+                             nodes=nodes)
+
+
+def wall_deadlines(g, start, region):
+    """Each vertex next to ``region`` with the round the fire reaches it
+    when it burns freely inside ``region`` from ``start``."""
+    dist = {start: 0}
+    queue = [start]
+    for u in queue:
+        for w in g.adjacency[u]:
+            if w in region and w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    walls = {}
+    for u in region:
+        for w in g.adjacency[u]:
+            if w not in region:
+                walls[w] = min(walls.get(w, dist[u] + 1), dist[u] + 1)
+    return dist, walls
+
+
+def wall_schedule_reference(g, start, schedule, region, round_bound):
+    """The earliest-deadline-first wall plan, placing every wall before it
+    gives up."""
+    dist, walls = wall_deadlines(g, start, region)
+    plan = []
+    for w, deadline in sorted(walls.items(), key=lambda kv: (kv[1], kv[0])):
+        round_no = 1
+        while len(plan) >= round_no and \
+                len(plan[round_no - 1]) >= schedule.budget(round_no):
+            round_no += 1
+        if round_no > deadline:
+            return None
+        while len(plan) < round_no:
+            plan.append([])
+        plan[round_no - 1].append(w)
+    if max(len(plan), max(dist.values())) > round_bound:
+        return None
+    return plan
 
 
 def connected_subsets_reference(g, start, max_size):

@@ -1,0 +1,115 @@
+"""The bitset search core against the frozenset searches it replaced:
+equal values, statuses, witnesses and node counts, timeouts included."""
+import itertools
+
+import pytest
+
+from firecontain import engine, families as F, randgen
+from firecontain.engine import Schedule
+from oracles import (
+    contain_by_dfs_frozenset,
+    sn_exact_frozenset,
+    wall_deadlines,
+    wall_schedule_reference,
+)
+
+SCHEDULES = (Schedule.constant(1), Schedule.constant(2), Schedule(4, 3))
+
+
+def _sn_cases():
+    for w, h in itertools.product((3, 4), repeat=2):
+        yield f"rect_grid({w},{h})", F.rect_grid(w, h), range(w * h)
+    yield "cube", F.platonic("cube"), range(8)
+    yield "dodecahedron", F.platonic("dodecahedron"), (0, 7, 13)
+
+
+@pytest.mark.parametrize("sched", SCHEDULES, ids=str)
+def test_sn_exact_matches_frozenset_search(sched):
+    for name, g, starts in _sn_cases():
+        for v in starts:
+            got = engine.sn_exact(g, v, sched)
+            assert got == sn_exact_frozenset(g, v, sched), (name, v)
+            assert got.optimal
+
+
+def test_sn_exact_matches_frozenset_search_on_quadrangulations():
+    for seed in range(1, 6):
+        g = randgen.random_tf_maximal(18, seed)
+        for v in range(0, g.n, 2):
+            for sched in (Schedule.constant(1), Schedule.constant(2)):
+                assert engine.sn_exact(g, v, sched) == \
+                    sn_exact_frozenset(g, v, sched), (seed, v)
+
+
+def test_sn_exact_timeouts_match_node_for_node():
+    g = F.rect_grid(4, 4)
+    k1 = Schedule.constant(1)
+    for v in (0, 5):
+        full = engine.sn_exact(g, v, k1).nodes
+        for limit in (1, 2, 7, 50, full - 1):
+            got = engine.sn_exact(g, v, k1, limit)
+            assert got == sn_exact_frozenset(g, v, k1, limit), (v, limit)
+            assert not got.optimal and got.nodes == limit + 1
+
+
+def _dfs_cases():
+    for seed in range(1, 6):
+        yield f"tf18_{seed}", randgen.random_tf_maximal(18, seed)
+    yield "rect_grid(4,4)", F.rect_grid(4, 4)
+    yield "dodecahedron", F.platonic("dodecahedron")
+
+
+def test_contain_by_dfs_matches_frozenset_search():
+    statuses = set()
+    for name, g in _dfs_cases():
+        for v in (0, 3, 11):
+            for sched in (Schedule.constant(1), Schedule.constant(2)):
+                for cap, bound in ((4, 4), (7, 3), (9, 9)):
+                    got = engine._contain_by_dfs(g, v, sched, cap, bound,
+                                                 10_000)
+                    want = contain_by_dfs_frozenset(g, v, sched, cap, bound,
+                                                    10_000)
+                    assert got == want, (name, v, sched, cap, bound)
+                    statuses.add(got.status)
+    assert statuses == {"feasible", "infeasible"}
+
+
+def test_contain_by_dfs_timeouts_match_node_for_node():
+    g = randgen.random_tf_maximal(40, 3)  # the full proof takes 1453 nodes
+    for limit in (1, 3, 20, 150, 1452):
+        args = (g, 5, Schedule.constant(1), 12, 12, limit)
+        got = engine._contain_by_dfs(*args)
+        assert got == contain_by_dfs_frozenset(*args), limit
+        assert got.status == "timeout" and got.nodes == limit + 1
+
+
+def test_cap18_infeasibility_proof_is_pinned():
+    # a cap-18 proof of the triangle-free classification; its node count
+    # is the frozenset search's
+    g = randgen.random_tf_maximal(200, 12)
+    res = engine._contain_by_dfs(g, 7, Schedule.constant(2), 18, 18, 500_000)
+    assert res.status == "infeasible" and res.proven
+    assert res.nodes == 19998
+
+
+@pytest.mark.parametrize("name, g, start, cap", [
+    ("random_triangulation(300,70)", randgen.random_triangulation(300, 70),
+     21, 6),
+    ("rect_grid(5,5)", F.rect_grid(5, 5), 12, 7),
+    ("hex_patch(2)", F.hex_patch(2), 0, 6),
+    ("random_tf_maximal(40,3)", randgen.random_tf_maximal(40, 3), 5, 7),
+])
+def test_wall_schedule_early_reject_agrees(name, g, start, cap):
+    """Rejecting a region with more walls than protections before the
+    last deadline never changes the earliest-deadline-first result."""
+    rejected = 0
+    regions = itertools.islice(engine._connected_regions(g, start, cap),
+                               2000)
+    for region in regions:
+        for sched in SCHEDULES:
+            got = engine._wall_schedule(g, start, sched, region, cap)
+            assert got == wall_schedule_reference(g, start, sched, region,
+                                                  cap), (name, sorted(region))
+            _, walls = wall_deadlines(g, start, region)
+            rejected += len(walls) > sched.cumulative(max(walls.values()))
+    assert rejected > 0
