@@ -17,9 +17,9 @@ from .embedding import EmbeddedGraph, Face, build
 from .errors import (
     BadParameter,
     CannotTriangulate,
+    ContainsTriangle,
     Disconnected,
     LoopOrMultiEdge,
-    NotTriangleFree,
 )
 
 
@@ -221,7 +221,7 @@ def augment_maximal_triangle_free(g: EmbeddedGraph) -> EmbeddedGraph:
     when no chord is insertable."""
     g.require_verified()
     if not g.is_triangle_free():
-        raise NotTriangleFree("input contains a triangle")
+        raise ContainsTriangle("input contains a triangle")
     b = DartBuilder(g)
     adj = b.adjacency
     # a face with no insertable chord keeps none, since edges are only

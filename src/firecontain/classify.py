@@ -13,7 +13,6 @@ candidate vertices are decided by the containment search.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -29,6 +28,12 @@ from .errors import (
 )
 
 CONTEXTS = ("girth5_thm2", "planar_thm3", "trianglefree_thm5")
+
+SCHEDULES = {
+    "girth5_thm2": Schedule.constant(2),
+    "planar_thm3": Schedule(4, 3),
+    "trianglefree_thm5": Schedule.constant(2),
+}
 
 FOUR_OPPOSITE = "four_opposite"
 FOUR_ADJACENT = "four_adjacent"
@@ -393,7 +398,7 @@ def classify_planar(g: EmbeddedGraph, mode: str = "exact",
                     node_limit: int = 2_000_000) -> ClassificationReport:
     """Schedule-(4,3) classes on a maximal planar graph, burn cap 6."""
     require_triangulation(g)
-    sched = Schedule(4, 3)
+    sched = SCHEDULES["planar_thm3"]
     labels: dict[int, str] = {}
     evidence: dict[int, dict] = {}
     for v in range(g.n):
@@ -431,7 +436,7 @@ def classify_triangle_free(g: EmbeddedGraph, mode: str = "exact",
     g.require_verified()
     if not g.is_triangle_free():
         raise ContainsTriangle("graph contains a triangle")
-    sched = Schedule.constant(2)
+    sched = SCHEDULES["trianglefree_thm5"]
     labels: dict[int, str] = {}
     evidence: dict[int, dict] = {}
     for v in range(g.n):
@@ -640,7 +645,3 @@ def _check_high_degree_cap(g, report, y3):
         if len(near) > d:
             bad.append((v, sorted(near)))
     return ClaimResult("high_degree_y3_cap", not bad, tuple(bad))
-
-
-def report_to_json_str(report: ClassificationReport) -> str:
-    return json.dumps(report.to_json(), sort_keys=True)

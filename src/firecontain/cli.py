@@ -39,12 +39,23 @@ def _add_schedule_args(p: argparse.ArgumentParser) -> None:
 
 
 def _parse_schedule(args) -> Schedule:
-    if args.schedule:
-        f, s = (int(x) for x in args.schedule.split(","))
-        return Schedule(f, s)
-    if args.k is not None:
-        return Schedule.constant(args.k)
+    try:
+        if args.schedule:
+            first, rest = (int(x) for x in args.schedule.split(","))
+            return Schedule(first, rest)
+        if args.k is not None:
+            return Schedule.constant(args.k)
+    except ValueError as exc:
+        raise BadParameter(
+            f"bad budgets {args.schedule or args.k!r}: {exc}") from None
     raise BadParameter("need --k or --schedule")
+
+
+def _parse_start(args, g) -> int:
+    if not 0 <= args.start < g.n:
+        raise BadParameter(f"--start {args.start} is not a vertex of "
+                           f"this {g.n}-vertex graph")
+    return args.start
 
 
 def _load_graph(args):
@@ -72,8 +83,20 @@ def _emit(obj, args) -> None:
         print(text)
 
 
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
+def _parse_alpha(args, default: Fraction) -> Fraction:
+    """``--alpha``, a positive exact rational, or ``default``."""
+    alpha = _parse_fraction(args.alpha, "--alpha") if args.alpha else default
+    if alpha <= 0:
+        raise BadParameter(f"--alpha must be positive, got {alpha}")
+    return alpha
+
+
+def _parse_fraction(text: str, flag: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise BadParameter(
+            f"{flag} needs an exact rational, got {text!r}") from None
 
 
 def main(argv=None) -> int:
@@ -165,15 +188,16 @@ def _dispatch(args) -> int:
     if cmd == "simulate":
         g = _load_graph(args)
         sched = _parse_schedule(args)
-        strat = _pick_strategy(args.strategy, g, args.start)
-        trace = engine.run_simulation(g, args.start, sched, strat)
+        start = _parse_start(args, g)
+        strat = _pick_strategy(args.strategy, g, start)
+        trace = engine.run_simulation(g, start, sched, strat)
         _emit(trace.to_json(), args)
         return EXIT_OK
 
     if cmd == "solve":
         g = _load_graph(args)
         sched = _parse_schedule(args)
-        res = engine.sn_exact(g, args.start, sched,
+        res = engine.sn_exact(g, _parse_start(args, g), sched,
                               node_limit=args.node_limit)
         _emit({"value": res.value, "optimal": res.optimal,
                "nodes": res.nodes,
@@ -198,16 +222,15 @@ def _dispatch(args) -> int:
     if cmd == "discharge":
         g = _load_graph(args)
         if args.context == "planar":
-            alpha = _parse_fraction(args.alpha) if args.alpha \
-                else discharge.PLANAR_ALPHA
+            alpha = _parse_alpha(args, discharge.PLANAR_ALPHA)
             report = classify.classify_planar(g)
             ledger = discharge.transfer_planar(
                 g, discharge.init_planar_charges(g, alpha), report)
             audit = discharge.audit_planar(g, ledger, report)
         else:
-            alpha = _parse_fraction(args.alpha) if args.alpha \
-                else discharge.TF_ALPHA
-            beta = _parse_fraction(args.beta) if args.beta else None
+            alpha = _parse_alpha(args, discharge.TF_ALPHA)
+            beta = _parse_fraction(args.beta, "--beta") if args.beta \
+                else None
             report = classify.classify_triangle_free(g)
             ledger = discharge.transfer_tf(
                 g, discharge.init_tf_charges(g, alpha, beta), report)
@@ -250,10 +273,7 @@ def _pick_strategy(name: str, g, start):
         return engine.null_strategy
     if name == "greedy":
         return engine.greedy_frontier_strategy("degree")
-    strat = (strategies.hex_containment_strategy() if name == "hex"
-             else strategies.rect_containment_strategy())
-    strat.require(g, start)
-    return strat.decide
+    return engine.plan_strategy(strategies.checked_grid_plan(g, start, name))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -14,7 +14,6 @@ All amounts are ``fractions.Fraction``; conservation is checked bit-exact.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
@@ -362,9 +361,3 @@ def _check_crude(g, ledger, vertex_caps, face_caps) -> bool:
 
 def _rat(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
-
-
-def audit_to_json_str(report: AuditReport,
-                      ledger: Optional[ChargeLedger] = None) -> str:
-    transfers = ledger.transfers if ledger is not None else ()
-    return json.dumps(report.to_json(transfers), sort_keys=True)

@@ -22,7 +22,6 @@ Exact search:
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -522,9 +521,11 @@ def _wall_schedule(g, start, schedule, region, round_bound
         return None
     plan: list[list[int]] = []
     for w, deadline in sorted(walls.items(), key=lambda kv: (kv[1], kv[0])):
+        # the first round by the deadline with a free slot; a round whose
+        # budget is 0 has none
         round_no = 1
-        while len(plan) >= round_no and \
-                len(plan[round_no - 1]) >= schedule.budget(round_no):
+        while round_no <= deadline and schedule.budget(round_no) <= (
+                len(plan[round_no - 1]) if round_no <= len(plan) else 0):
             round_no += 1
         if round_no > deadline:
             return None
@@ -600,7 +601,3 @@ def _contain_by_dfs(g, start, schedule, burn_cap, round_bound, node_limit
     assert trace.burned_count <= burn_cap
     return ContainmentResult("feasible", trace=trace, proven=True,
                              nodes=nodes)
-
-
-def trace_to_json_str(trace: SimTrace) -> str:
-    return json.dumps(trace.to_json(), sort_keys=True)

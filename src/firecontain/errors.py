@@ -51,10 +51,6 @@ class CannotTriangulate(FireContainError):
     """A face of degree >= 4 admits no new chord."""
 
 
-class NotTriangleFree(FireContainError):
-    """Input contains a triangle where a triangle-free graph is required."""
-
-
 # -- fire engine ------------------------------------------------------------
 
 class BudgetExceeded(FireContainError):
@@ -80,7 +76,7 @@ class NotTriangulation(FireContainError):
 
 
 class ContainsTriangle(FireContainError):
-    pass
+    """Input contains a triangle where a triangle-free graph is required."""
 
 
 class NotTwoConnected(FireContainError):
@@ -102,11 +98,7 @@ class RequiresExactClassification(FireContainError):
 # -- strategies -------------------------------------------------------------
 
 class NotApplicable(FireContainError):
-    """Strategy preconditions do not hold for this (graph, start)."""
-
-
-class SeparatorTooLarge(FireContainError):
-    pass
+    """A plan's preconditions do not hold for this (graph, start)."""
 
 
 # -- discharging ------------------------------------------------------------

@@ -257,11 +257,11 @@ _PLATONIC_COORDS = {
 }
 
 _GENERATORS = {
-    "hex_patch": lambda radius: hex_patch(radius),
-    "rect_grid": lambda width, height: rect_grid(width, height),
-    "star": lambda n: star(n),
-    "complete_bipartite_2_m": lambda m: complete_bipartite_2_m(m),
-    "cycle": lambda n: cycle(n),
-    "platonic": lambda which: platonic(which),
-    "path": lambda n: path(n),
+    "hex_patch": hex_patch,
+    "rect_grid": rect_grid,
+    "star": star,
+    "complete_bipartite_2_m": complete_bipartite_2_m,
+    "cycle": cycle,
+    "platonic": platonic,
+    "path": path,
 }

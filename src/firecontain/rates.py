@@ -1,12 +1,11 @@
-"""Surviving rates: exact computation on small graphs, strategy-based
-lower bounds on large ones, and per-theorem certification.
+"""Surviving rates: exact computation on small graphs, plan-replay lower
+bounds on large ones, and per-theorem certification.
 
 The surviving rate is (1/n^2) * sum over starts of the saved count.  All
 rates are exact rationals; decimals appear only in rendered output.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -14,7 +13,7 @@ from typing import Optional
 
 from . import classify, strategies
 from .embedding import EmbeddedGraph
-from .engine import Schedule, run_simulation, sn_exact
+from .engine import Schedule, plan_strategy, run_simulation, sn_exact
 from .errors import HypothesisViolated
 
 THEOREMS = ("thm2_girth5", "thm3_planar", "thm5_trianglefree", "k2n_upper")
@@ -98,15 +97,17 @@ def surviving_rate_lower_bound(g: EmbeddedGraph, schedule: Schedule,
                                classification:
                                "classify.ClassificationReport",
                                instance: str = "") -> RateReport:
-    """Rate lower bound from the dispatched per-class strategies; starts
-    labelled Y contribute zero."""
-    disp = strategies.theorem_dispatch(classification.context, classification)
+    """Rate lower bound from replaying the dispatched per-start plans;
+    starts labelled Y contribute zero."""
+    plan_for = strategies.theorem_dispatch(classification.context,
+                                           classification)
     saved: dict[int, int] = {}
     for v in range(g.n):
         if classification.side(v) == "Y":
             saved[v] = 0
         else:
-            saved[v] = run_simulation(g, v, schedule, disp.decide).saved
+            saved[v] = run_simulation(g, v, schedule,
+                                      plan_strategy(plan_for(g, v))).saved
     return RateReport(
         instance=instance, schedule=schedule, mode="strategy_lower_bound",
         saved=saved, rate=_rate_from_saved(saved, g.n))
@@ -231,7 +232,3 @@ def rates_csv(certs: list[Certificate]) -> str:
             f"{c.threshold.numerator}/{c.threshold.denominator},"
             f"{'pass' if c.passed else 'fail'}")
     return "\n".join(lines) + "\n"
-
-
-def rate_report_json_str(report: RateReport) -> str:
-    return json.dumps(report.to_json(), sort_keys=True)

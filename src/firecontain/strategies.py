@@ -1,15 +1,21 @@
-"""Named firefighter strategies and the per-theorem dispatcher.
+"""Containment plans for X starts, and the per-theorem dispatcher.
 
-The two grid strategies replay frozen coordinate-relative plans stored as
-packaged JSON (``plans/``).  Each plan file is integrity-checked by hash
-and guarded by a simulation on its canonical instance at load time; the
-plan is then mapped onto a concrete graph through the rotation system.
+Every strategy of the lower bounds is fixed once the start is known, so
+each is a plan: the vertices to protect in rounds 1, 2, ..., computed from
+(graph, start) and replayed by ``engine.plan_strategy``.
+``theorem_dispatch`` gives each start of a classification its plan: the
+witness of an exact resolution, a mapped grid plan, a configuration plan
+or a local plan; Y starts get the empty plan.
+
+The two grid plans are frozen coordinate-relative plans stored as packaged
+JSON (``plans/``).  Each plan file is integrity-checked by hash and guarded
+by a replay on its canonical instance at load time; ``mapped_plan`` then
+maps it onto a concrete graph through the rotation system.
 """
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from typing import Callable, Optional, Sequence
@@ -18,15 +24,15 @@ from . import classify, families
 from .embedding import EmbeddedGraph
 from .engine import (
     Decide,
-    FireState,
     Schedule,
     SimTrace,
     min_burned_containment,
-    null_strategy,
     plan_strategy,
     run_simulation,
 )
-from .errors import EmbeddingInconsistent, NotApplicable, SeparatorTooLarge
+from .errors import EmbeddingInconsistent, FireContainError, NotApplicable
+
+Plan = list[list[int]]
 
 PLAN_HASHES = {
     "hex_containment":
@@ -35,33 +41,12 @@ PLAN_HASHES = {
         "61f11162c72afea4899311bb6310c9017a50dbe6ae7bc0f5ffd8f5bedaff2ff0",
 }
 
+# the largest degree of a spared neighbour whose free neighbours the later
+# budget protects in one round (in a triangulation it shares two
+# neighbours with the start)
+_SPARE_LIMIT = {"girth5_thm2": 3, "planar_thm3": 6}
 
-@dataclass(frozen=True)
-class Strategy:
-    """A named decision procedure with an applicability predicate."""
-
-    name: str
-    decide: Decide
-    applicable: Callable[[EmbeddedGraph, int], bool]
-
-    def require(self, g: EmbeddedGraph, start: int) -> None:
-        if not self.applicable(g, start):
-            raise NotApplicable(f"{self.name} does not apply to start {start}")
-
-    def run(self, g: EmbeddedGraph, start: int, schedule: Schedule
-            ) -> SimTrace:
-        self.require(g, start)
-        return run_simulation(g, start, schedule, self.decide)
-
-
-@dataclass(frozen=True)
-class ProtectionPlan:
-    """Materialized per-round protections for one (graph, start)."""
-
-    rounds: tuple[tuple[int, ...], ...]
-
-    def strategy(self) -> Decide:
-        return plan_strategy([list(r) for r in self.rounds])
+_GRID_RULES = {"hex_neighborhood": "hex", "rect_neighborhood": "rect"}
 
 
 # -- frozen lattice plans ---------------------------------------------------
@@ -69,7 +54,7 @@ class ProtectionPlan:
 @lru_cache(maxsize=None)
 def load_plan(name: str) -> dict:
     """Load a packaged plan, verify its content hash, and prove its
-    guarantee once by simulation on the canonical lattice instance."""
+    guarantee once by replay on the canonical lattice instance."""
     data = resources.files("firecontain.plans").joinpath(
         name + ".json").read_text()
     digest = hashlib.sha256(data.encode()).hexdigest()
@@ -84,25 +69,26 @@ def load_plan(name: str) -> dict:
 
 def _guard_plan(plan: dict) -> None:
     if plan["lattice"] == "hex":
-        g = families.hex_patch(4)
-        start = 0
+        g, start = families.hex_patch(4), 0
     else:
-        g = families.rect_grid(17, 17)
-        start = 8 * 17 + 8
-    trace = _replay_on(g, start, plan)
-    if trace is None or trace.burned_count > plan["burn_cap"] or \
-            len(trace.rounds) > plan["round_cap"]:
+        g, start = families.rect_grid(17, 17), 8 * 17 + 8
+    if _guaranteed(g, start, plan) is None:
         raise EmbeddingInconsistent(
             f"plan {plan['name']} fails its guarantee on the canonical grid")
 
 
-def _replay_on(g: EmbeddedGraph, start: int, plan: dict
-               ) -> Optional[SimTrace]:
+def _guaranteed(g: EmbeddedGraph, start: int, plan: dict) -> Optional[Plan]:
+    """``plan`` mapped around ``start`` if its replay keeps the plan's
+    burn and round caps, else None."""
     mapped = mapped_plan(g, start, plan)
     if mapped is None:
         return None
-    sched = Schedule(*plan["schedule"])
-    return run_simulation(g, start, sched, plan_strategy(mapped))
+    trace = run_simulation(g, start, Schedule(*plan["schedule"]),
+                           plan_strategy(mapped))
+    if trace.burned_count > plan["burn_cap"] or \
+            len(trace.rounds) > plan["round_cap"]:
+        return None
+    return mapped
 
 
 def lattice_map(g: EmbeddedGraph, start: int, lattice: str
@@ -146,8 +132,7 @@ def _propagate(g, start, dirs, orient):
     return at
 
 
-def mapped_plan(g: EmbeddedGraph, start: int, plan: dict
-                ) -> Optional[list[list[int]]]:
+def mapped_plan(g: EmbeddedGraph, start: int, plan: dict) -> Optional[Plan]:
     """Translate a plan's offsets to vertex ids around ``start``; offsets
     that fall outside the graph are dropped (the fire cannot go there)."""
     at = lattice_map(g, start, plan["lattice"])
@@ -156,43 +141,29 @@ def mapped_plan(g: EmbeddedGraph, start: int, plan: dict
     return [[at[c] for c in rnd if c in at] for rnd in plan["rounds"]]
 
 
-def _plan_strategy_obj(name: str, plan_name: str, kind: str) -> Strategy:
-    plan = load_plan(plan_name)
-    sched = Schedule(*plan["schedule"])
-
-    def applicable(g: EmbeddedGraph, start: int) -> bool:
-        try:
-            ok, _ = classify.grid_neighborhood_test(g, start, kind)
-        except Exception:
-            return False
-        if not ok:
-            return False
-        trace = _replay_on(g, start, plan)
-        return (trace is not None
-                and trace.burned_count <= plan["burn_cap"]
-                and len(trace.rounds) <= plan["round_cap"])
-
-    cell: dict = {}
-
-    def decide(g: EmbeddedGraph, state: FireState, budget: int) -> list[int]:
-        if state.round == 0:
-            (start,) = state.burning
-            cell["sub"] = plan_strategy(mapped_plan(g, start, plan))
-        return cell["sub"](g, state, budget)
-
-    return Strategy(name, decide, applicable)
+def grid_plan(g: EmbeddedGraph, start: int, lattice: str) -> Plan:
+    """The packaged ``lattice`` plan mapped around ``start``, unchecked:
+    the classifier's grid test stands for it."""
+    mapped = mapped_plan(g, start, load_plan(f"{lattice}_containment"))
+    if mapped is None:
+        raise NotApplicable(f"no {lattice} lattice map around start {start}")
+    return mapped
 
 
-def hex_containment_strategy() -> Strategy:
-    """Schedule-(4,3) containment with <= 6 burned when the start sits in
-    a pure depth-3 triangulated hexagonal grid."""
-    return _plan_strategy_obj("hex_containment", "hex_containment", "hex")
-
-
-def rect_containment_strategy() -> Strategy:
-    """Two-firefighter containment with <= 18 burned within 8 rounds when
-    the start sits in a pure depth-7 square grid."""
-    return _plan_strategy_obj("rect_containment", "rect_containment", "rect")
+def checked_grid_plan(g: EmbeddedGraph, start: int, lattice: str) -> Plan:
+    """The mapped ``lattice`` plan where ``start`` passes the grid test
+    and the replay keeps the plan's guarantee: hex, schedule (4, 3) with
+    at most 6 burned; rect, two firefighters with at most 18 burned within
+    8 rounds."""
+    name = f"{lattice}_containment"
+    try:
+        ok, _ = classify.grid_neighborhood_test(g, start, lattice)
+    except FireContainError:
+        ok = False
+    mapped = _guaranteed(g, start, load_plan(name)) if ok else None
+    if mapped is None:
+        raise NotApplicable(f"{name} does not apply to start {start}")
+    return mapped
 
 
 def lattice_probes(g: EmbeddedGraph, start: int, schedule: Schedule,
@@ -211,173 +182,91 @@ def lattice_probes(g: EmbeddedGraph, start: int, schedule: Schedule,
     return probes
 
 
-# -- local degree-based strategies ------------------------------------------
+# -- local plans ------------------------------------------------------------
 
-def _protect_all_neighbors(g, state, budget):
-    front = sorted(set().union(*[g.adjacency[u] for u in state.burning])
-                   - state.burning - state.protected)
-    return front[:budget]
-
-
-def _spare_one_then_mop_up(pick_spared):
-    """Round 1: protect every neighbour except one chosen vertex u; later
-    rounds: protect the whole frontier (which the pattern keeps within
-    budget)."""
-    def decide(g, state, budget):
-        if state.round == 0:
-            (start,) = state.burning
-            u = pick_spared(g, start)
-            return sorted(g.adjacency[start] - {u})[:budget]
-        return _protect_all_neighbors(g, state, budget)
-    return decide
+def _spare_one_plan(g: EmbeddedGraph, start: int, limit: int) -> Plan:
+    """Round 1 protects every neighbour of ``start`` but the least one, u,
+    of degree at most ``limit``; round 2 protects the neighbours of u that
+    the fire reaches next."""
+    u = next((u for u in sorted(g.adjacency[start]) if g.degree(u) <= limit),
+             None)
+    if u is None:
+        raise NotApplicable(
+            f"no neighbour of start {start} has degree <= {limit}")
+    return [sorted(g.adjacency[start] - {u}),
+            sorted(g.adjacency[u] - {start} - g.adjacency[start])]
 
 
-def _lowest_low_degree_neighbor(limit):
-    def pick(g, start):
-        return next(u for u in sorted(g.adjacency[start])
-                    if g.degree(u) <= limit)
-    return pick
-
-
-def degree_local_strategy(context: str, start_class: str) -> Strategy:
+def local_plan(g: EmbeddedGraph, start: int, context: str) -> Plan:
     """The cheap per-class containment moves: protect the whole first
-    neighbourhood, or spare one low-degree neighbour and mop up around it
-    one round later."""
-    key = (context, start_class)
-    if key == ("girth5_thm2", "X_2") or \
-            key == ("trianglefree_thm5", "X_2"):
-        def applicable(g, s):
-            return g.degree(s) <= 2
-        return Strategy(f"protect_neighbors_{start_class}",
-                        _protect_all_neighbors, applicable)
-    if key == ("girth5_thm2", "X_3"):
-        def applicable(g, s):
-            return g.degree(s) == 3 and \
-                any(g.degree(u) <= 3 for u in g.adjacency[s])
-        return Strategy("spare_low_neighbor_girth5",
-                        _spare_one_then_mop_up(
-                            _lowest_low_degree_neighbor(3)), applicable)
-    if context == "planar_thm3" and start_class in ("X_3", "X_4"):
-        def applicable(g, s):
-            return 3 <= g.degree(s) <= 4
-        return Strategy("protect_neighbors_planar",
-                        _protect_all_neighbors, applicable)
-    if key == ("planar_thm3", "X_5"):
-        def applicable(g, s):
-            return g.degree(s) == 5 and \
-                any(g.degree(u) <= 6 for u in g.adjacency[s])
-        return Strategy("spare_low_neighbor_planar",
-                        _spare_one_then_mop_up(
-                            _lowest_low_degree_neighbor(6)), applicable)
-    raise NotApplicable(f"no local strategy for {context}/{start_class}")
+    neighbourhood when the first budget covers it, or, one neighbour
+    short of that, spare a low-degree neighbour and close in around it."""
+    first = classify.SCHEDULES[context].first
+    if g.degree(start) <= first:
+        return [sorted(g.adjacency[start])]
+    if g.degree(start) == first + 1 and context in _SPARE_LIMIT:
+        return _spare_one_plan(g, start, _SPARE_LIMIT[context])
+    raise NotApplicable(
+        f"no local plan for {context} start {start} of degree "
+        f"{g.degree(start)}")
 
 
-def config_strategy(config_id: str) -> Strategy:
-    """Two-firefighter containment from a degree-3 vertex matching one of
-    the local configurations.  The concrete move table is recovered per
-    instance by the containment search (config 3.1 has a closed form)."""
-    if config_id not in ("3.1", "3.2", "3.3", "3.4", "3.5", "3.6"):
-        raise NotApplicable(f"unknown config {config_id!r}")
-
-    def applicable(g: EmbeddedGraph, start: int) -> bool:
-        if g.degree(start) != 3:
-            return False
-        return any(m.config == config_id
-                   for m in classify.detect_local_configs(g, start))
-
+def config_plan(g: EmbeddedGraph, start: int, config_id: str) -> Plan:
+    """Two-firefighter containment from a degree-3 start matching local
+    configuration ``config_id``.  Config 3.1 spares its low neighbour;
+    the other plans are found per instance by the cap-18 containment
+    search."""
+    if g.degree(start) != 3 or not any(
+            m.config == config_id
+            for m in classify.detect_local_configs(g, start)):
+        raise NotApplicable(
+            f"config {config_id!r} does not match start {start}")
     if config_id == "3.1":
-        return Strategy("config_3.1",
-                        _spare_one_then_mop_up(
-                            _lowest_low_degree_neighbor(3)), applicable)
-
-    cell: dict = {}
-
-    def decide(g, state, budget):
-        if state.round == 0:
-            (start,) = state.burning
-            res = min_burned_containment(
-                g, start, Schedule.constant(2), burn_cap=18,
-                probes=lattice_probes(g, start, Schedule.constant(2), 18))
-            if not res.feasible:
-                raise NotApplicable(
-                    f"no cap-18 containment from start {start}")
-            cell["sub"] = plan_strategy(res.trace.protection_plan())
-        return cell["sub"](g, state, budget)
-
-    return Strategy(f"config_{config_id}", decide, applicable)
+        return _spare_one_plan(g, start, 3)
+    sched = classify.SCHEDULES["trianglefree_thm5"]
+    res = min_burned_containment(g, start, sched, burn_cap=18,
+                                 probes=lattice_probes(g, start, sched, 18))
+    if not res.feasible:
+        raise NotApplicable(f"no cap-18 containment from start {start}")
+    return res.trace.protection_plan()
 
 
-def separator_strategy(separator: Sequence[int]) -> Strategy:
+def separator_plan(g: EmbeddedGraph, start: int, separator: Sequence[int]
+                   ) -> Plan:
     """Protect a small separator one vertex per round, nearest first, so
-    every component on the far side survives."""
+    every component on the far side survives; the fire must not reach the
+    separator before the last of it is protected."""
     sep = sorted(set(separator))
-    if not sep:
-        raise NotApplicable("empty separator")
-
-    def check(g: EmbeddedGraph, start: int) -> int:
-        dist = g.distances_from(start)
-        reach = [dist[s] for s in sep if dist[s] >= 0]
-        d = min(reach) if reach else -1
-        if d < len(sep) or start in sep:
-            raise SeparatorTooLarge(
-                f"separator of size {len(sep)} at distance {d}")
-        return d
-
-    def applicable(g: EmbeddedGraph, start: int) -> bool:
-        try:
-            check(g, start)
-        except SeparatorTooLarge:
-            return False
-        return True
-
-    def decide(g, state, budget):
-        if state.round == 0:
-            (start,) = state.burning
-            check(g, start)
-            dist = g.distances_from(start)
-            cell["order"] = sorted(sep, key=lambda s: (dist[s], s))
-        todo = [s for s in cell["order"]
-                if s not in state.protected and s not in state.burning]
-        return todo[:1]
-
-    cell: dict = {}
-    return Strategy("separator", decide, applicable)
+    dist = g.distances_from(start)
+    reach = [dist[s] for s in sep if dist[s] >= 0]
+    d = min(reach) if reach else -1
+    if d < len(sep):  # also when the start is on the separator
+        raise NotApplicable(f"separator of size {len(sep)} at distance {d}")
+    return [[s] for s in sorted(sep, key=lambda s: (dist[s], s))]
 
 
 # -- theorem dispatch -------------------------------------------------------
 
 def theorem_dispatch(context: str,
                      classification: "classify.ClassificationReport"
-                     ) -> Strategy:
-    """One strategy for the whole graph: X starts get their
-    evidence-matched containment moves, Y starts get nothing."""
+                     ) -> Callable[[EmbeddedGraph, int], Plan]:
+    """``plan_for(g, start)``: each X start's evidence-matched containment
+    plan, and the empty plan for Y starts."""
     if classification.context != context:
         raise NotApplicable(
             f"classification is for {classification.context}, not {context}")
 
-    cell: dict = {}
-
-    def sub_for(g: EmbeddedGraph, start: int) -> Decide:
-        label = classification.labels[start]
-        if label[0] == "Y":
-            return null_strategy
+    def plan_for(g: EmbeddedGraph, start: int) -> Plan:
+        if classification.side(start) == "Y":
+            return []
         ev = classification.evidence[start]
-        rule = ev["rule"]
         if "trace" in ev:
-            trace = SimTrace.from_json(ev["trace"], g.n)
-            return plan_strategy(trace.protection_plan())
-        if rule == "hex_neighborhood":
-            return hex_containment_strategy().decide
-        if rule == "rect_neighborhood":
-            return rect_containment_strategy().decide
+            return SimTrace.from_json(ev["trace"], g.n).protection_plan()
+        rule = ev["rule"]
+        if rule in _GRID_RULES:
+            return grid_plan(g, start, _GRID_RULES[rule])
         if rule.startswith("config_"):
-            return config_strategy(rule.split("_", 1)[1]).decide
-        return degree_local_strategy(context, label).decide
+            return config_plan(g, start, rule.removeprefix("config_"))
+        return local_plan(g, start, context)
 
-    def decide(g, state, budget):
-        if state.round == 0:
-            (start,) = state.burning
-            cell["sub"] = sub_for(g, start)
-        return cell["sub"](g, state, budget)
-
-    return Strategy(f"dispatch_{context}", decide, lambda g, s: True)
+    return plan_for

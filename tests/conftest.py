@@ -33,3 +33,32 @@ def small_corpus():
     from firecontain.formats import parse_graph6
     data = (DATA_DIR / "small_connected.g6").read_bytes()
     return parse_graph6(data)
+
+
+@pytest.fixture(scope="session")
+def capped_tube():
+    """A triangulated tube of circumference 5 and 9 rings (n = 47), capped
+    by an apex at each end: vertex (i, j), ring i, has the rotation
+    (i,j+1), (i-1,j+1), (i-1,j), (i,j-1), (i+1,j-1), (i+1,j), with the apex
+    in place of a missing ring.  The middle rings look like the hexagonal
+    grid to depth 3."""
+    c, rings = 5, 9
+    top, bottom = c * rings, c * rings + 1
+
+    def vid(i, j):
+        if i < 0:
+            return top
+        if i >= rings:
+            return bottom
+        return i * c + j % c
+
+    rot = []
+    for i in range(rings):
+        for j in range(c):
+            r = [vid(i, j + 1), vid(i - 1, j + 1), vid(i - 1, j),
+                 vid(i, j - 1), vid(i + 1, j - 1), vid(i + 1, j)]
+            # an apex stands for two consecutive neighbours
+            rot.append([v for k, v in enumerate(r) if v != r[k - 1]])
+    rot.append([vid(0, j) for j in range(c)])
+    rot.append([vid(rings - 1, -j) for j in range(c)])
+    return build(rot)

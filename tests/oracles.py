@@ -10,12 +10,18 @@ from firecontain.embedding import build
 from firecontain.engine import (
     DEFAULT_PROBES,
     ContainmentResult,
+    Schedule,
+    SimTrace,
     SnResult,
     frontier,
+    min_burned_containment,
+    null_strategy,
     plan_strategy,
     run_simulation,
 )
+from firecontain.errors import NotApplicable
 from firecontain.families import cycle
+from firecontain.strategies import lattice_probes, load_plan, mapped_plan
 
 
 def sn_reference(g, start, schedule):
@@ -226,9 +232,12 @@ def wall_schedule_reference(g, start, schedule, region, round_bound):
     dist, walls = wall_deadlines(g, start, region)
     plan = []
     for w, deadline in sorted(walls.items(), key=lambda kv: (kv[1], kv[0])):
+        # the first round up to the deadline with a free protection slot
         round_no = 1
-        while len(plan) >= round_no and \
-                len(plan[round_no - 1]) >= schedule.budget(round_no):
+        while round_no <= deadline:
+            used = len(plan[round_no - 1]) if round_no <= len(plan) else 0
+            if used < schedule.budget(round_no):
+                break
             round_no += 1
         if round_no > deadline:
             return None
@@ -373,3 +382,99 @@ def augment_maximal_triangle_free_reference(g):
         if chord is None:
             return g
         g = insert_chord_reference(g, *chord)
+
+
+# -- the Decide-based dispatch that the plan functions replaced --------------
+
+def _protect_all_neighbors(g, state, budget):
+    front = sorted(set().union(*[g.adjacency[u] for u in state.burning])
+                   - state.burning - state.protected)
+    return front[:budget]
+
+
+def _spare_one_then_mop_up(limit):
+    """Round 1: protect every neighbour but the least one of degree at most
+    ``limit``; later rounds: protect the frontier."""
+    def decide(g, state, budget):
+        if state.round == 0:
+            (start,) = state.burning
+            u = next(u for u in sorted(g.adjacency[start])
+                     if g.degree(u) <= limit)
+            return sorted(g.adjacency[start] - {u})[:budget]
+        return _protect_all_neighbors(g, state, budget)
+    return decide
+
+
+def _local_reference(context, start_class):
+    key = (context, start_class)
+    if key in (("girth5_thm2", "X_2"), ("trianglefree_thm5", "X_2")):
+        return _protect_all_neighbors
+    if key == ("girth5_thm2", "X_3"):
+        return _spare_one_then_mop_up(3)
+    if context == "planar_thm3" and start_class in ("X_3", "X_4"):
+        return _protect_all_neighbors
+    if key == ("planar_thm3", "X_5"):
+        return _spare_one_then_mop_up(6)
+    raise NotApplicable(f"no local strategy for {context}/{start_class}")
+
+
+def _grid_reference(plan_name):
+    plan = load_plan(plan_name)
+    cell = {}
+
+    def decide(g, state, budget):
+        if state.round == 0:
+            (start,) = state.burning
+            cell["sub"] = plan_strategy(mapped_plan(g, start, plan))
+        return cell["sub"](g, state, budget)
+    return decide
+
+
+def _config_reference(config_id):
+    if config_id == "3.1":
+        return _spare_one_then_mop_up(3)
+    cell = {}
+
+    def decide(g, state, budget):
+        if state.round == 0:
+            (start,) = state.burning
+            sched = Schedule.constant(2)
+            res = min_burned_containment(
+                g, start, sched, burn_cap=18,
+                probes=lattice_probes(g, start, sched, 18))
+            if not res.feasible:
+                raise NotApplicable(
+                    f"no cap-18 containment from start {start}")
+            cell["sub"] = plan_strategy(res.trace.protection_plan())
+        return cell["sub"](g, state, budget)
+    return decide
+
+
+def dispatch_reference(context, classification):
+    """One decision procedure for the whole graph that picks, at round 0,
+    the start's evidence-matched strategy; Y starts get nothing."""
+    cell = {}
+
+    def sub_for(g, start):
+        label = classification.labels[start]
+        if label[0] == "Y":
+            return null_strategy
+        ev = classification.evidence[start]
+        rule = ev["rule"]
+        if "trace" in ev:
+            return plan_strategy(
+                SimTrace.from_json(ev["trace"], g.n).protection_plan())
+        if rule == "hex_neighborhood":
+            return _grid_reference("hex_containment")
+        if rule == "rect_neighborhood":
+            return _grid_reference("rect_containment")
+        if rule.startswith("config_"):
+            return _config_reference(rule.split("_", 1)[1])
+        return _local_reference(context, label)
+
+    def decide(g, state, budget):
+        if state.round == 0:
+            (start,) = state.burning
+            cell["sub"] = sub_for(g, start)
+        return cell["sub"](g, state, budget)
+    return decide

@@ -23,6 +23,7 @@ from firecontain.discharge import (
 from firecontain.engine import (
     Schedule,
     min_burned_containment,
+    plan_strategy,
     run_simulation,
     sn_exact,
 )
@@ -38,8 +39,8 @@ def test_criterion_1_hex_strategy_and_oracle():
     t0 = time.monotonic()
     g = F.hex_patch(4)
     sched = Schedule(4, 3)
-    strat = strategies.hex_containment_strategy()
-    trace = strat.run(g, 0, sched)
+    trace = run_simulation(g, 0, sched, plan_strategy(
+        strategies.checked_grid_plan(g, 0, "hex")))
     assert trace.burned_count <= 6
     res = min_burned_containment(
         g, 0, sched, burn_cap=6,
@@ -53,8 +54,8 @@ def test_criterion_2_rect_strategy():
     t0 = time.monotonic()
     g = F.rect_grid(17, 17)
     centre = 8 * 17 + 8
-    trace = strategies.rect_containment_strategy().run(
-        g, centre, Schedule.constant(2))
+    trace = run_simulation(g, centre, Schedule.constant(2), plan_strategy(
+        strategies.checked_grid_plan(g, centre, "rect")))
     assert trace.burned_count <= 18
     assert len(trace.rounds) <= 8
     assert time.monotonic() - t0 <= 5
@@ -171,7 +172,7 @@ def test_criterion_8_strategy_contracts():
             if g.n < 2:
                 continue
             rep = classifier(g)
-            disp = strategies.theorem_dispatch(context, rep)
+            plan_for = strategies.theorem_dispatch(context, rep)
             for v in rep.x_vertices():
                 # girth-5 X_2 starts burn alone (save n-1); X_3 starts burn
                 # at most one extra (save n-2); the other contexts promise
@@ -179,7 +180,8 @@ def test_criterion_8_strategy_contracts():
                 cap = CLASS_BURN_CAP[context]
                 if context == "girth5_thm2":
                     cap = 1 if rep.labels[v] == "X_2" else 2
-                trace = run_simulation(g, v, sched, disp.decide)
+                trace = run_simulation(g, v, sched,
+                                       plan_strategy(plan_for(g, v)))
                 assert trace.burned_count <= cap, (context, v)
                 assert trace.saved >= g.n - cap
 

@@ -13,9 +13,9 @@ from firecontain.augment import (
 from firecontain.embedding import Face
 from firecontain.errors import (
     BadParameter,
+    ContainsTriangle,
     Disconnected,
     LoopOrMultiEdge,
-    NotTriangleFree,
 )
 from oracles import (
     assert_same_graph,
@@ -79,7 +79,7 @@ def test_augment_maximal_triangle_free():
 
 
 def test_augment_triangle_free_rejects_triangles():
-    with pytest.raises(NotTriangleFree):
+    with pytest.raises(ContainsTriangle):
         augment_maximal_triangle_free(F.cycle(3))
 
 

@@ -174,3 +174,35 @@ def test_render(tmp_path, capsys):
     svgs = sorted((tmp_path / "imgs").glob("round_*.svg"))
     assert len(svgs) == len(trace["rounds"]) + 1
     assert svgs[0].read_text().startswith("<svg")
+
+
+def test_rate_theorem_low_degree_starts(capsys):
+    code, out, _ = run(capsys, "rate", "--family", "cycle:3",
+                       "--theorem", "thm3_planar")
+    assert code == 0
+    assert json.loads(out)["rate"] == "2/3"
+
+
+def test_rate_theorem_hex_start_without_lattice_map(tmp_path, capsys,
+                                                    capped_tube):
+    path = tmp_path / "tube.json"
+    path.write_bytes(formats.encode_rotation_json(capped_tube))
+    code, _, err = run(capsys, "rate", "--input", str(path),
+                       "--format", "rotation_json", "--theorem", "thm3_planar")
+    assert code == 2
+    assert json.loads(err)["error"] == "NotApplicable"
+
+
+@pytest.mark.parametrize("argv", [
+    ("discharge", "--family", "icosahedron", "--context", "planar",
+     "--alpha", "abc"),
+    ("discharge", "--family", "icosahedron", "--context", "planar",
+     "--alpha", "0"),
+    ("rate", "--family", "path:3", "--schedule", "4"),
+    ("simulate", "--family", "path:3", "--start", "0", "--k", "-1"),
+    ("solve", "--family", "path:3", "--start", "7", "--k", "1"),
+], ids=["alpha_abc", "alpha_0", "schedule_4", "k_minus_1", "start_7"])
+def test_bad_arguments_exit_2_with_json(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "BadParameter"

@@ -278,7 +278,7 @@ def test_audit_json():
     rep = classify.classify_triangle_free(g)
     led = transfer_tf(g, init_tf_charges(g), rep)
     audit = audit_tf(g, led, rep)
-    obj = json.loads(discharge.audit_to_json_str(audit, led))
+    obj = json.loads(json.dumps(audit.to_json(led.transfers), sort_keys=True))
     assert obj["ok"] is True
     assert obj["conservation_residual"] == "0/1"
     assert obj["counting_factor"] == "723626/1"

@@ -91,7 +91,7 @@ def test_replay_determinism():
     assert again == res.trace
     # JSON round trip preserves the trace
     back = SimTrace.from_json(json.loads(
-        engine.trace_to_json_str(res.trace)), g.n)
+        json.dumps(res.trace.to_json(), sort_keys=True)), g.n)
     assert back == res.trace
 
 

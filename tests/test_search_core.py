@@ -92,13 +92,16 @@ def test_cap18_infeasibility_proof_is_pinned():
     assert res.nodes == 19998
 
 
-@pytest.mark.parametrize("name, g, start, cap", [
+WALL_CASES = [
     ("random_triangulation(300,70)", randgen.random_triangulation(300, 70),
      21, 6),
     ("rect_grid(5,5)", F.rect_grid(5, 5), 12, 7),
     ("hex_patch(2)", F.hex_patch(2), 0, 6),
     ("random_tf_maximal(40,3)", randgen.random_tf_maximal(40, 3), 5, 7),
-])
+]
+
+
+@pytest.mark.parametrize("name, g, start, cap", WALL_CASES)
 def test_wall_schedule_early_reject_agrees(name, g, start, cap):
     """Rejecting a region with more walls than protections before the
     last deadline never changes the earliest-deadline-first result."""
@@ -113,3 +116,30 @@ def test_wall_schedule_early_reject_agrees(name, g, start, cap):
             _, walls = wall_deadlines(g, start, region)
             rejected += len(walls) > sched.cumulative(max(walls.values()))
     assert rejected > 0
+
+
+def test_wall_schedule_skips_zero_budget_rounds():
+    assert engine._wall_schedule(F.path(5), 0, Schedule(0, 1), {0, 1}, 5) \
+        == [[], [2]]
+    # no slot ever opens, and the search still ends
+    assert engine._wall_schedule(F.path(5), 0, Schedule(0, 0), {0, 1}, 5) \
+        is None
+    # on the early-reject graphs every zero-budget region is rejected; on
+    # paths and cycles walls get placed
+    cases = WALL_CASES + [("path(9)", F.path(9), 0, 6),
+                          ("path(9) centre", F.path(9), 4, 6),
+                          ("cycle(9)", F.cycle(9), 0, 6)]
+    placed = 0
+    for name, g, start, cap in cases:
+        for region in itertools.islice(
+                engine._connected_regions(g, start, cap), 2000):
+            for sched in (Schedule(0, 1), Schedule(0, 2), Schedule(1, 0)):
+                plan = engine._wall_schedule(g, start, sched, region, cap)
+                assert plan == wall_schedule_reference(
+                    g, start, sched, region, cap), (name, sorted(region))
+                if plan is not None:
+                    placed += 1
+                    # raises StrategyBudgetViolation past a round's budget
+                    engine.run_simulation(g, start, sched,
+                                          engine.plan_strategy(plan))
+    assert placed > 0

@@ -1,24 +1,31 @@
 import pytest
 
-from firecontain import classify, families as F, randgen, strategies
+from firecontain import classify, families as F, randgen, rates, strategies
+from firecontain.augment import augment_maximal_planar
 from firecontain.engine import (
     Schedule,
     min_burned_containment,
+    plan_strategy,
     run_simulation,
     sn_exact,
 )
 from firecontain.errors import EmbeddingInconsistent, NotApplicable
 from firecontain.strategies import (
-    degree_local_strategy,
-    hex_containment_strategy,
+    checked_grid_plan,
+    config_plan,
     lattice_map,
     lattice_probes,
     load_plan,
+    local_plan,
     mapped_plan,
-    rect_containment_strategy,
-    separator_strategy,
+    separator_plan,
     theorem_dispatch,
 )
+from oracles import dispatch_reference
+
+
+def replay(g, start, sched, plan):
+    return run_simulation(g, start, sched, plan_strategy(plan))
 
 
 def test_load_plan_hash_and_guard():
@@ -69,36 +76,33 @@ def test_lattice_map_fails_off_grid():
 
 
 def test_hex_strategy_contract():
-    strat = hex_containment_strategy()
     for radius in (4, 5):
         g = F.hex_patch(radius)
-        trace = strat.run(g, 0, Schedule(4, 3))
+        trace = replay(g, 0, Schedule(4, 3), checked_grid_plan(g, 0, "hex"))
         assert trace.burned_count <= 6
         assert len(trace.rounds) <= 4
 
 
 def test_hex_strategy_not_applicable_near_boundary():
     g = F.hex_patch(2)
-    strat = hex_containment_strategy()
-    assert not strat.applicable(g, 0)
     with pytest.raises(NotApplicable):
-        strat.run(g, 0, Schedule(4, 3))
+        checked_grid_plan(g, 0, "hex")
 
 
 def test_rect_strategy_contract():
-    strat = rect_containment_strategy()
     for size in (17, 21):
         g = F.rect_grid(size, size)
         centre = (size // 2) * size + size // 2
-        trace = strat.run(g, centre, Schedule.constant(2))
+        trace = replay(g, centre, Schedule.constant(2),
+                       checked_grid_plan(g, centre, "rect"))
         assert trace.burned_count <= 18
         assert len(trace.rounds) <= 8
 
 
 def test_rect_strategy_not_applicable_small_grid():
     g = F.rect_grid(5, 5)
-    strat = rect_containment_strategy()
-    assert not strat.applicable(g, 12)
+    with pytest.raises(NotApplicable):
+        checked_grid_plan(g, 12, "rect")
 
 
 def test_lattice_probes_schedule_filter():
@@ -123,25 +127,22 @@ def test_mapped_plan_drops_missing_offsets():
 
 def test_degree_local_strategies():
     g = F.path(5)
-    s = degree_local_strategy("girth5_thm2", "X_2")
-    t = s.run(g, 2, Schedule.constant(2))
+    t = replay(g, 2, Schedule.constant(2), local_plan(g, 2, "girth5_thm2"))
     assert t.burned_count == 1
     g = F.platonic("dodecahedron")
-    s = degree_local_strategy("girth5_thm2", "X_3")
-    t = s.run(g, 0, Schedule.constant(2))
+    t = replay(g, 0, Schedule.constant(2), local_plan(g, 0, "girth5_thm2"))
     assert t.burned_count <= 2
     g = F.platonic("icosahedron")
-    s = degree_local_strategy("planar_thm3", "X_5")
-    t = s.run(g, 0, Schedule(4, 3))
+    t = replay(g, 0, Schedule(4, 3), local_plan(g, 0, "planar_thm3"))
     assert t.burned_count <= 6
+    g = F.star(10)  # centre 0 of degree 9
     with pytest.raises(NotApplicable):
-        degree_local_strategy("planar_thm3", "X_9")
+        local_plan(g, 0, "planar_thm3")
 
 
 def test_config_strategy_31():
     g = F.platonic("cube")
-    s = strategies.config_strategy("3.1")
-    t = s.run(g, 0, Schedule.constant(2))
+    t = replay(g, 0, Schedule.constant(2), config_plan(g, 0, "3.1"))
     assert t.burned_count <= 18
 
 
@@ -152,22 +153,20 @@ def test_config_strategy_applicability_and_search():
             if g.degree(v) != 3:
                 continue
             for m in classify.detect_local_configs(g, v):
-                s = strategies.config_strategy(m.config)
-                assert s.applicable(g, v)
-                t = s.run(g, v, Schedule.constant(2))
+                t = replay(g, v, Schedule.constant(2),
+                           config_plan(g, v, m.config))
                 assert t.burned_count <= 18
                 assert len(t.rounds) <= 18
 
 
 def test_config_strategy_unknown_id():
     with pytest.raises(NotApplicable):
-        strategies.config_strategy("9.9")
+        config_plan(F.platonic("cube"), 0, "9.9")
 
 
 def test_separator_strategy():
     g = F.path(9)
-    s = separator_strategy([4])
-    t = s.run(g, 0, Schedule.constant(1))
+    t = replay(g, 0, Schedule.constant(1), separator_plan(g, 0, [4]))
     # vertices 5..8 survive behind the separator
     assert t.saved >= 4
     assert 4 not in t.burned_set()
@@ -175,20 +174,19 @@ def test_separator_strategy():
 
 def test_separator_too_close():
     g = F.path(9)
-    s = separator_strategy([4, 5])  # size 2, distance 4 from 0: fine
-    assert s.applicable(g, 0)
-    s = separator_strategy([1, 2])  # size 2 at distance 1: cannot finish
-    assert not s.applicable(g, 0)
+    separator_plan(g, 0, [4, 5])  # size 2, distance 4 from 0: fine
     with pytest.raises(NotApplicable):
-        separator_strategy([])
+        separator_plan(g, 0, [1, 2])  # size 2 at distance 1: cannot finish
+    with pytest.raises(NotApplicable):
+        separator_plan(g, 0, [])
 
 
 def test_dispatch_contracts_girth5():
     g = F.platonic("dodecahedron")
     rep = classify.classify_girth5(g)
-    disp = theorem_dispatch("girth5_thm2", rep)
+    plan_for = theorem_dispatch("girth5_thm2", rep)
     for v in range(g.n):
-        t = run_simulation(g, v, Schedule.constant(2), disp.decide)
+        t = replay(g, v, Schedule.constant(2), plan_for(g, v))
         assert t.burned_count <= 2  # X_3 contract: at most 2 burned
 
 
@@ -196,9 +194,9 @@ def test_dispatch_contracts_planar():
     for seed in range(3):
         g = randgen.random_triangulation(18, seed)
         rep = classify.classify_planar(g)
-        disp = theorem_dispatch("planar_thm3", rep)
+        plan_for = theorem_dispatch("planar_thm3", rep)
         for v in rep.x_vertices():
-            t = run_simulation(g, v, Schedule(4, 3), disp.decide)
+            t = replay(g, v, Schedule(4, 3), plan_for(g, v))
             assert t.burned_count <= 6, (seed, v)
 
 
@@ -206,9 +204,9 @@ def test_dispatch_contracts_tf():
     for seed in range(3):
         g = randgen.random_tf_maximal(18, seed)
         rep = classify.classify_triangle_free(g)
-        disp = theorem_dispatch("trianglefree_thm5", rep)
+        plan_for = theorem_dispatch("trianglefree_thm5", rep)
         for v in rep.x_vertices():
-            t = run_simulation(g, v, Schedule.constant(2), disp.decide)
+            t = replay(g, v, Schedule.constant(2), plan_for(g, v))
             assert t.burned_count <= 18, (seed, v)
 
 
@@ -221,10 +219,10 @@ def test_dispatch_context_mismatch():
 def test_strategies_never_beat_exact():
     g = F.platonic("icosahedron")
     rep = classify.classify_planar(g)
-    disp = theorem_dispatch("planar_thm3", rep)
+    plan_for = theorem_dispatch("planar_thm3", rep)
     sched = Schedule(4, 3)
     for v in range(g.n):
-        t = run_simulation(g, v, sched, disp.decide)
+        t = replay(g, v, sched, plan_for(g, v))
         assert t.saved <= sn_exact(g, v, sched).value
 
 
@@ -234,3 +232,78 @@ def test_containment_agrees_with_strategy_on_hex():
         g, 0, Schedule(4, 3), burn_cap=6,
         probes=lattice_probes(g, 0, Schedule(4, 3), 6))
     assert res.feasible and res.trace.burned_count <= 6
+
+
+def _dispatch_cases():
+    """(context, graph, classification, schedule, starts or None for every
+    X start): the corpora of acceptance criterion 8, the triangulated hex
+    patches and the centre of a square grid."""
+    for g in [F.platonic("dodecahedron")] + \
+            [randgen.random_girth5_planar(60, s) for s in range(10)]:
+        yield ("girth5_thm2", g, classify.classify_girth5(g),
+               Schedule.constant(2), None)
+    for g in [F.platonic("icosahedron")] + \
+            [randgen.random_triangulation(20, s) for s in range(10)] + \
+            [augment_maximal_planar(F.hex_patch(r)) for r in range(4, 8)]:
+        yield ("planar_thm3", g, classify.classify_planar(g), Schedule(4, 3),
+               None)
+    for g in [F.platonic("cube"), F.rect_grid(6, 6)] + \
+            [randgen.random_tf_maximal(20, s) for s in range(10)]:
+        yield ("trianglefree_thm5", g, classify.classify_triangle_free(g),
+               Schedule.constant(2), None)
+    g = F.rect_grid(17, 17)
+    yield ("trianglefree_thm5", g,
+           classify.classify_triangle_free(g, mode="rules_only"),
+           Schedule.constant(2), [8 * 17 + 8])
+
+
+def test_plans_replay_like_the_decision_procedures():
+    rules = set()
+    for context, g, rep, sched, starts in _dispatch_cases():
+        plan_for = theorem_dispatch(context, rep)
+        reference = dispatch_reference(context, rep)
+        for v in starts or rep.x_vertices():
+            want = run_simulation(g, v, sched, reference)
+            assert replay(g, v, sched, plan_for(g, v)) == want, (context, v)
+            rules.add((context, rep.evidence[v]["rule"]))
+    assert rules >= {
+        ("girth5_thm2", "degree_le_2"),
+        ("girth5_thm2", "low_degree_neighbor"),
+        ("planar_thm3", "degree_le_4"),
+        ("planar_thm3", "degree5_low_neighbor"),
+        ("planar_thm3", "hex_neighborhood"),
+        ("planar_thm3", "exact"),
+        ("trianglefree_thm5", "degree_le_2"),
+        ("trianglefree_thm5", "config_3.1"),
+        ("trianglefree_thm5", "config_3.2"),
+        ("trianglefree_thm5", "config_3.5"),
+        ("trianglefree_thm5", "rect_neighborhood"),
+        ("trianglefree_thm5", "exact"),
+    }, rules
+
+
+def test_dispatch_plans_low_degree_starts():
+    # degree-1 ends of a path: the first budget covers the neighbourhood
+    g = F.path(5)
+    rep = classify.classify_triangle_free(g)
+    plan_for = theorem_dispatch("trianglefree_thm5", rep)
+    for v in (0, 4):
+        assert rep.labels[v] == "X_1"
+        assert replay(g, v, Schedule.constant(2), plan_for(g, v)).saved == 4
+    # every start of a triangle is X_2 under the planar schedule
+    rep = classify.classify_planar(F.cycle(3))
+    plan_for = theorem_dispatch("planar_thm3", rep)
+    assert [plan_for(F.cycle(3), v) for v in range(3)] == \
+        [[[1, 2]], [[0, 2]], [[0, 1]]]
+
+
+def test_dispatch_rejects_a_hex_start_without_lattice_map(capped_tube):
+    # the depth-3 degree test passes in the middle of a circumference-5
+    # tube, but the lattice wraps round the tube and cannot be mapped
+    rep = classify.classify_planar(capped_tube)
+    assert rep.evidence[22] == {"rule": "hex_neighborhood"}
+    assert lattice_map(capped_tube, 22, "hex") is None
+    with pytest.raises(NotApplicable):
+        theorem_dispatch("planar_thm3", rep)(capped_tube, 22)
+    with pytest.raises(NotApplicable):
+        rates.certify_bound(capped_tube, "thm3_planar")
