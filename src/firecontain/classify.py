@@ -13,7 +13,7 @@ candidate vertices are decided by the containment search.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .embedding import EmbeddedGraph, Face
@@ -26,6 +26,7 @@ from .errors import (
     WrongContext,
     WrongDegree,
 )
+from .families import HEX_DIRS, RECT_DIRS
 
 CONTEXTS = ("girth5_thm2", "planar_thm3", "trianglefree_thm5")
 
@@ -255,7 +256,11 @@ def _opposite_partners(g: EmbeddedGraph, v: int) -> list[tuple[int, int]]:
     return sorted(set(out))
 
 
-# -- grid neighbourhood tests and escape paths ------------------------------
+# -- grid balls: purity test, lattice offsets and escape paths --------------
+
+# lattice -> (directions, walk depth R); offsets reach the plans' R + 1
+GRID_LATTICES = {"hex": (HEX_DIRS, 3), "rect": (RECT_DIRS, 7)}
+
 
 @dataclass(frozen=True)
 class EscapePath:
@@ -274,90 +279,68 @@ class EscapePath:
 
 def grid_neighborhood_test(g: EmbeddedGraph, v: int, kind: str
                            ) -> tuple[bool, Optional[EscapePath]]:
-    """True iff the neighbourhood of v matches the pure grid pattern
-    (depth 3 for ``hex``, depth 7 for ``rect``); otherwise an escape path
-    witnessing the defect is returned."""
-    if kind == "hex":
-        if g.degree(v) != 6:
-            raise WrongContext(f"hex test needs degree 6, got {g.degree(v)}")
-        esc = hex_escape_path(g, v)
-    elif kind == "rect":
-        if g.degree(v) != 4:
-            raise WrongContext(f"rect test needs degree 4, got {g.degree(v)}")
-        esc = rect_escape_path(g, v)
-    else:
-        raise WrongContext(f"unknown grid kind {kind!r}")
-    return esc is None, esc
+    """True iff v's ``grid_ball`` has lattice offsets and no escape path;
+    otherwise the escape path, if any, is returned."""
+    offsets, esc = grid_ball(g, v, kind)
+    return esc is None and offsets is not None, esc
 
 
-def hex_escape_path(g: EmbeddedGraph, v: int) -> Optional[EscapePath]:
-    """Shortest path (length <= 3) from v to a vertex of degree != 6 whose
-    internal vertices all have degree 6; None if the depth-3 neighbourhood
-    is pure.  Ties broken by (length, endpoint id), parents minimal."""
+def grid_ball(g: EmbeddedGraph, v: int, lattice: str
+              ) -> tuple[Optional[dict], Optional[EscapePath]]:
+    """One breadth-first walk from v (sorted neighbours) expanding the
+    vertices of the lattice degree, 6 or 4, to depth R, 3 or 7.  Returns
+    the ball's offsets (offset -> vertex) in the first orientation that
+    fits every expanded rotation, or None; and the walk path to the
+    (length, id)-least vertex at depth 1..R of the wrong degree or, for
+    ``rect``, with its parent edge on a face of degree >= 5, or None."""
+    if lattice not in GRID_LATTICES:
+        raise WrongContext(f"unknown grid kind {lattice!r}")
+    dirs, depth = GRID_LATTICES[lattice]
+    if g.degree(v) != len(dirs):
+        raise WrongContext(
+            f"{lattice} test needs degree {len(dirs)}, got {g.degree(v)}")
     g.require_verified()
-    dist = {v: 0}
-    parent: dict[int, int] = {}
+    paths = {v: (v,)}  # the walk path to each vertex reached
+    escapes = []  # (length, endpoint, path, donor)
     queue = [v]
-    best = None
     for u in queue:
-        d = dist[u]
-        if d >= 1 and g.degree(u) != 6:
-            if best is None or (d, u) < best:
-                best = (d, u)
-            continue  # endpoint found; do not extend through it
-        if d == 3 or (best is not None and d + 1 > best[0]):
+        d = len(paths[u]) - 1
+        if g.degree(u) != len(dirs):
+            escapes.append((d, u, paths[u], ("vertex", u)))
+            continue
+        if lattice == "rect" and d:
+            big = [f.id for f in g.edge_faces(u, paths[u][-2])
+                   if f.degree >= 5]
+            if big:
+                escapes.append((d, u, paths[u], ("face", min(big))))
+        if d == depth:
             continue
         for w in sorted(g.adjacency[u]):
-            if w not in dist:
-                dist[w] = d + 1
-                parent[w] = u
+            if w not in paths:
+                paths[w] = paths[u] + (w,)
                 queue.append(w)
-    if best is None:
-        return None
-    path = _unwind(parent, v, best[1])
-    return EscapePath(tuple(path), ("vertex", best[1]))
+    walk = [u for u in queue if g.degree(u) == len(dirs)]  # expanded ones
+    offsets = (_lattice_offsets(g, walk, dirs, 1)
+               or _lattice_offsets(g, walk, dirs, -1))
+    return offsets, EscapePath(*min(escapes)[2:]) if escapes else None
 
 
-def rect_escape_path(g: EmbeddedGraph, v: int) -> Optional[EscapePath]:
-    """Shortest escape (length <= 7) from v: either a vertex of degree != 4
-    or a degree-4 path endpoint lying on a face of degree >= 5 shared with
-    its path predecessor.  Internal path vertices have degree 4."""
-    g.require_verified()
-    dist = {v: 0}
-    parent: dict[int, int] = {}
-    queue = [v]
-    best = None  # (dist, endpoint id, donor)
-    for u in queue:
-        d = dist[u]
-        if d >= 1:
-            if g.degree(u) != 4:
-                cand = (d, u, ("vertex", u))
-            else:
-                big = [f.id for f in g.edge_faces(u, parent[u])
-                       if f.degree >= 5]
-                cand = (d, u, ("face", min(big))) if big else None
-            if cand is not None and (best is None or cand[:2] < best[:2]):
-                best = cand
-            if g.degree(u) != 4:
-                continue  # cannot be an internal vertex
-        if d == 7 or (best is not None and d + 1 > best[0]):
-            continue
-        for w in sorted(g.adjacency[u]):
-            if w not in dist:
-                dist[w] = d + 1
-                parent[w] = u
-                queue.append(w)
-    if best is None:
-        return None
-    path = _unwind(parent, v, best[1])
-    return EscapePath(tuple(path), best[2])
-
-
-def _unwind(parent: dict[int, int], start: int, end: int) -> list[int]:
-    path = [end]
-    while path[-1] != start:
-        path.append(parent[path[-1]])
-    return path[::-1]
+def _lattice_offsets(g, walk, dirs, orient):
+    """Offsets of the walked ball, rotation index i at an expanded vertex
+    pointing along ``align + orient * i``; None on any clash."""
+    coord = {walk[0]: (0, 0)}
+    at = {(0, 0): walk[0]}
+    align = {walk[0]: 0}
+    for u in walk:  # a vertex is first reached from its walk parent
+        for i, w in enumerate(g.rotations[u]):
+            d = (align[u] + orient * i) % len(dirs)
+            cw = (coord[u][0] + dirs[d][0], coord[u][1] + dirs[d][1])
+            if coord.setdefault(w, cw) != cw or at.setdefault(cw, w) != w:
+                return None
+            if w not in align:
+                j = g.rotations[w].index(u)
+                align[w] = (d + len(dirs) // 2 - orient * j) % len(dirs)
+    return at
 
 
 # -- context classifiers ----------------------------------------------------

@@ -65,7 +65,7 @@ def _load_graph(args):
         return families.generate(families.parse_family(args.family))
     if not args.format:
         raise BadParameter("--input needs --format")
-    data = pathlib.Path(args.input).read_bytes()
+    data = _read(args.input, "--input", bytes)
     graphs = formats.parse(data, args.format,
                            allow_unverified=args.allow_unverified)
     if len(graphs) != 1:
@@ -97,6 +97,32 @@ def _parse_fraction(text: str, flag: str) -> Fraction:
     except (ValueError, ZeroDivisionError):
         raise BadParameter(
             f"{flag} needs an exact rational, got {text!r}") from None
+
+
+def _read(path: str, flag: str, parse):
+    """``parse`` applied to a file's bytes; any failure is a BadParameter."""
+    try:
+        return parse(pathlib.Path(path).read_bytes())
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise BadParameter(f"{flag} {path}: {exc!r}") from None
+
+
+def _apply_config(args, subparser) -> None:
+    """Set unset flags from the ``--config`` object, read as flag text."""
+    actions = {a.dest: a for a in subparser._actions}
+    config = _read(args.config, "--config", lambda b: dict(json.loads(b)))
+    for key, value in config.items():
+        attr = key.replace("-", "_")
+        if not any(getattr(args, attr, None) is x for x in (None, False)):
+            continue  # a given flag, 0 included
+        action = actions.get(attr)
+        if action is not None and action.nargs != 0:  # not a switch
+            try:
+                value = subparser._get_value(action, str(value))
+                subparser._check_value(action, value)
+            except argparse.ArgumentError as exc:
+                raise BadParameter(f"--config {key}: {exc}") from None
+        setattr(args, attr, value)
 
 
 def main(argv=None) -> int:
@@ -157,13 +183,9 @@ def main(argv=None) -> int:
     p.add_argument("--out", required=True, help="output directory")
 
     args = ap.parse_args(argv)
-    if args.config:
-        defaults = json.loads(pathlib.Path(args.config).read_text())
-        for key, value in defaults.items():
-            attr = key.replace("-", "_")
-            if getattr(args, attr, None) in (None, False):
-                setattr(args, attr, value)
     try:
+        if args.config:
+            _apply_config(args, sub.choices[args.command])
         return _dispatch(args)
     except FireContainError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)},
@@ -255,8 +277,8 @@ def _dispatch(args) -> int:
 
     if cmd == "render":
         g = _load_graph(args)
-        obj = json.loads(pathlib.Path(args.trace).read_text())
-        trace = engine.SimTrace.from_json(obj, g.n)
+        trace = _read(args.trace, "--trace", lambda b:
+                      engine.SimTrace.from_json(json.loads(b), g.n))
         out = pathlib.Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         for rno, svg in enumerate(render.render_trace(g, trace)):

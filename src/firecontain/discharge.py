@@ -4,11 +4,11 @@ rules, conservation audits, and the X/Y counting consequences.
 Two contexts:
 
 * ``planar_sigma``: maximal planar; vertex charge d(v) - 6, total -12;
-  rules R1 (high-degree vertices support Y_5 neighbours) and R2 (an
-  escape-path endpoint supports each Y_6 vertex).
+  rules R1 (high-degree vertices support Y_5 neighbours) and R2 (the
+  end of the depth-3 ``classify.grid_ball`` escape path supports Y_6).
 * ``trianglefree_nu``: triangle-free; vertices and faces carry d - 4,
   total -8; rules S1-S4 support Y_3 vertices and S5 supports Y_4 via the
-  depth-7 escape path.
+  depth-7 ``grid_ball`` escape path (its end vertex or big face).
 
 All amounts are ``fractions.Fraction``; conservation is checked bit-exact.
 """
@@ -24,8 +24,7 @@ from .classify import (
     FOUR_ADJACENT,
     ClassificationReport,
     contiguous_elements,
-    hex_escape_path,
-    rect_escape_path,
+    grid_ball,
     relation_flavors,
     special_sets,
 )
@@ -133,7 +132,7 @@ def transfer_planar(g: EmbeddedGraph, ledger: ChargeLedger,
     for v in range(g.n):
         if classification.labels[v] != "Y_6":
             continue
-        esc = hex_escape_path(g, v)
+        _, esc = grid_ball(g, v, "hex")
         if esc is None:
             raise NoEscapePath(
                 f"Y_6 vertex {v} sits in a pure hex neighbourhood")
@@ -210,7 +209,7 @@ def transfer_tf(g: EmbeddedGraph, ledger: ChargeLedger,
     for v in range(g.n):
         if classification.labels[v] != "Y_4":
             continue
-        esc = rect_escape_path(g, v)
+        _, esc = grid_ball(g, v, "rect")
         if esc is None:
             raise NoEscapePath(
                 f"Y_4 vertex {v} sits in a pure square-grid neighbourhood")

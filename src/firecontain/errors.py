@@ -101,6 +101,10 @@ class NotApplicable(FireContainError):
     """A plan's preconditions do not hold for this (graph, start)."""
 
 
+class CorruptPlan(EmbeddingInconsistent):
+    """A packaged plan fails its content hash or its guarantee replay."""
+
+
 # -- discharging ------------------------------------------------------------
 
 class NoEscapePath(FireContainError):

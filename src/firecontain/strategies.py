@@ -30,7 +30,7 @@ from .engine import (
     plan_strategy,
     run_simulation,
 )
-from .errors import EmbeddingInconsistent, FireContainError, NotApplicable
+from .errors import CorruptPlan, FireContainError, NotApplicable
 
 Plan = list[list[int]]
 
@@ -59,8 +59,7 @@ def load_plan(name: str) -> dict:
         name + ".json").read_text()
     digest = hashlib.sha256(data.encode()).hexdigest()
     if digest != PLAN_HASHES[name]:
-        raise EmbeddingInconsistent(
-            f"plan file {name} corrupted (hash {digest})")
+        raise CorruptPlan(f"plan file {name} corrupted (hash {digest})")
     plan = json.loads(data)
     plan["rounds"] = [[tuple(c) for c in rnd] for rnd in plan["rounds"]]
     _guard_plan(plan)
@@ -73,7 +72,7 @@ def _guard_plan(plan: dict) -> None:
     else:
         g, start = families.rect_grid(17, 17), 8 * 17 + 8
     if _guaranteed(g, start, plan) is None:
-        raise EmbeddingInconsistent(
+        raise CorruptPlan(
             f"plan {plan['name']} fails its guarantee on the canonical grid")
 
 
@@ -93,43 +92,11 @@ def _guaranteed(g: EmbeddedGraph, start: int, plan: dict) -> Optional[Plan]:
 
 def lattice_map(g: EmbeddedGraph, start: int, lattice: str
                 ) -> Optional[dict[tuple[int, int], int]]:
-    """Map lattice offsets to vertices by propagating coordinates through
-    the rotation system from ``start``; None if the neighbourhood is not
-    consistently grid-like.  Both orientations are tried."""
-    dirs = families.HEX_DIRS if lattice == "hex" else families.RECT_DIRS
-    for orient in (1, -1):
-        m = _propagate(g, start, dirs, orient)
-        if m is not None:
-            return m
-    return None
-
-
-def _propagate(g, start, dirs, orient):
-    ndirs = len(dirs)
-    if g.degree(start) != ndirs:
+    """Offsets -> vertices of ``classify.grid_ball`` around ``start``;
+    None if ``start`` has another degree or no orientation fits the ball."""
+    if g.degree(start) != len(classify.GRID_LATTICES[lattice][0]):
         return None
-    coord = {start: (0, 0)}
-    at = {(0, 0): start}
-    align = {start: 0}  # rotation index i points along direction align+o*i
-    queue = [start]
-    for u in queue:
-        cu = coord[u]
-        k = align[u]
-        rot = g.rotations[u]
-        for i, v in enumerate(rot):
-            d = (k + orient * i) % ndirs
-            cv = (cu[0] + dirs[d][0], cu[1] + dirs[d][1])
-            if coord.get(v, cv) != cv or at.get(cv, v) != v:
-                return None
-            if v not in coord:
-                coord[v] = cv
-                at[cv] = v
-                if g.degree(v) == ndirs:
-                    j = g.rotations[v].index(u)
-                    rev = (d + ndirs // 2) % ndirs
-                    align[v] = (rev - orient * j) % ndirs
-                    queue.append(v)
-    return at
+    return classify.grid_ball(g, start, lattice)[0]
 
 
 def mapped_plan(g: EmbeddedGraph, start: int, plan: dict) -> Optional[Plan]:

@@ -35,14 +35,12 @@ def small_corpus():
     return parse_graph6(data)
 
 
-@pytest.fixture(scope="session")
-def capped_tube():
-    """A triangulated tube of circumference 5 and 9 rings (n = 47), capped
-    by an apex at each end: vertex (i, j), ring i, has the rotation
-    (i,j+1), (i-1,j+1), (i-1,j), (i,j-1), (i+1,j-1), (i+1,j), with the apex
-    in place of a missing ring.  The middle rings look like the hexagonal
-    grid to depth 3."""
-    c, rings = 5, 9
+def capped_triangulated_tube(c, rings):
+    """A triangulated tube of circumference c, capped by an apex at each
+    end: vertex (i, j), ring i, has the rotation (i,j+1), (i-1,j+1),
+    (i-1,j), (i,j-1), (i+1,j-1), (i+1,j), with the apex in place of a
+    missing ring.  Away from the caps it looks like the hexagonal grid
+    until the lattice wraps round the tube."""
     top, bottom = c * rings, c * rings + 1
 
     def vid(i, j):
@@ -62,3 +60,31 @@ def capped_tube():
     rot.append([vid(0, j) for j in range(c)])
     rot.append([vid(rings - 1, -j) for j in range(c)])
     return build(rot)
+
+
+def square_grid_tube(c, rings):
+    """A quadrangulated tube of circumference c, uncapped: vertex (i, j)
+    = i * c + j has the rotation (i,j+1), (i+1,j), (i,j-1), (i-1,j), the
+    neighbours in missing rings left out.  Its two ends are c-gon faces;
+    away from them it looks like the square grid until the lattice wraps
+    round the tube."""
+    rot = []
+    for i in range(rings):
+        for j in range(c):
+            r = [(i, j + 1), (i + 1, j), (i, j - 1), (i - 1, j)]
+            rot.append([a * c + b % c for a, b in r if 0 <= a < rings])
+    return build(rot)
+
+
+@pytest.fixture(scope="session")
+def capped_tube():
+    """``capped_triangulated_tube(5, 9)``, n = 47: the middle ring is
+    degree-6 pure to depth 3, but the lattice wraps round the tube."""
+    return capped_triangulated_tube(5, 9)
+
+
+@pytest.fixture(scope="session")
+def square_tube():
+    """``square_grid_tube(5, 17)``, n = 85: the middle ring is degree-4
+    pure to depth 7, but the lattice wraps round the tube."""
+    return square_grid_tube(5, 17)

@@ -6,6 +6,7 @@ optimized solvers can be checked against them on small instances.
 import itertools
 import random
 
+from firecontain.classify import EscapePath
 from firecontain.embedding import build
 from firecontain.engine import (
     DEFAULT_PROBES,
@@ -20,7 +21,7 @@ from firecontain.engine import (
     run_simulation,
 )
 from firecontain.errors import NotApplicable
-from firecontain.families import cycle
+from firecontain.families import HEX_DIRS, RECT_DIRS, cycle
 from firecontain.strategies import lattice_probes, load_plan, mapped_plan
 
 
@@ -478,3 +479,125 @@ def dispatch_reference(context, classification):
             cell["sub"] = sub_for(g, start)
         return cell["sub"](g, state, budget)
     return decide
+
+
+# -- the grid walks that the ball walk replaced -------------------------------
+#
+# A degree-only escape BFS per lattice and an unbounded propagation of
+# lattice coordinates through the rotation system.  Where the escape BFS
+# finds a path, ``classify.grid_ball`` must find the same one; the mapped
+# plans must agree wherever the packaged plans reach.
+
+def hex_escape_path_reference(g, v):
+    """Shortest path (length <= 3) from v to a vertex of degree != 6 whose
+    internal vertices all have degree 6; None if there is none.  Ties
+    broken by (length, endpoint id), parents minimal."""
+    g.require_verified()
+    dist = {v: 0}
+    parent = {}
+    queue = [v]
+    best = None
+    for u in queue:
+        d = dist[u]
+        if d >= 1 and g.degree(u) != 6:
+            if best is None or (d, u) < best:
+                best = (d, u)
+            continue  # endpoint found; do not extend through it
+        if d == 3 or (best is not None and d + 1 > best[0]):
+            continue
+        for w in sorted(g.adjacency[u]):
+            if w not in dist:
+                dist[w] = d + 1
+                parent[w] = u
+                queue.append(w)
+    if best is None:
+        return None
+    return EscapePath(_unwind(parent, v, best[1]), ("vertex", best[1]))
+
+
+def rect_escape_path_reference(g, v):
+    """Shortest escape (length <= 7) from v: either a vertex of degree != 4
+    or a degree-4 path endpoint lying on a face of degree >= 5 shared with
+    its path predecessor.  Internal path vertices have degree 4."""
+    g.require_verified()
+    dist = {v: 0}
+    parent = {}
+    queue = [v]
+    best = None  # (dist, endpoint id, donor)
+    for u in queue:
+        d = dist[u]
+        if d >= 1:
+            if g.degree(u) != 4:
+                cand = (d, u, ("vertex", u))
+            else:
+                big = [f.id for f in g.edge_faces(u, parent[u])
+                       if f.degree >= 5]
+                cand = (d, u, ("face", min(big))) if big else None
+            if cand is not None and (best is None or cand[:2] < best[:2]):
+                best = cand
+            if g.degree(u) != 4:
+                continue  # cannot be an internal vertex
+        if d == 7 or (best is not None and d + 1 > best[0]):
+            continue
+        for w in sorted(g.adjacency[u]):
+            if w not in dist:
+                dist[w] = d + 1
+                parent[w] = u
+                queue.append(w)
+    if best is None:
+        return None
+    return EscapePath(_unwind(parent, v, best[1]), best[2])
+
+
+def _unwind(parent, start, end):
+    path = [end]
+    while path[-1] != start:
+        path.append(parent[path[-1]])
+    return tuple(path[::-1])
+
+
+def lattice_map_reference(g, start, lattice):
+    """Lattice offsets -> vertices, propagated without a depth bound
+    through every vertex of the lattice degree reached from ``start``;
+    None if either orientation is inconsistent somewhere."""
+    dirs = HEX_DIRS if lattice == "hex" else RECT_DIRS
+    for orient in (1, -1):
+        m = _propagate(g, start, dirs, orient)
+        if m is not None:
+            return m
+    return None
+
+
+def _propagate(g, start, dirs, orient):
+    ndirs = len(dirs)
+    if g.degree(start) != ndirs:
+        return None
+    coord = {start: (0, 0)}
+    at = {(0, 0): start}
+    align = {start: 0}  # rotation index i points along direction align+o*i
+    queue = [start]
+    for u in queue:
+        cu = coord[u]
+        k = align[u]
+        rot = g.rotations[u]
+        for i, v in enumerate(rot):
+            d = (k + orient * i) % ndirs
+            cv = (cu[0] + dirs[d][0], cu[1] + dirs[d][1])
+            if coord.get(v, cv) != cv or at.get(cv, v) != v:
+                return None
+            if v not in coord:
+                coord[v] = cv
+                at[cv] = v
+                if g.degree(v) == ndirs:
+                    j = g.rotations[v].index(u)
+                    rev = (d + ndirs // 2) % ndirs
+                    align[v] = (rev - orient * j) % ndirs
+                    queue.append(v)
+    return at
+
+
+def mapped_plan_reference(g, start, plan):
+    at = lattice_map_reference(g, start, plan["lattice"])
+    if at is None:
+        return None
+    return [[at[c] for c in rnd if c in at] for rnd in plan["rounds"]]

@@ -183,14 +183,15 @@ def test_rate_theorem_low_degree_starts(capsys):
     assert json.loads(out)["rate"] == "2/3"
 
 
-def test_rate_theorem_hex_start_without_lattice_map(tmp_path, capsys,
-                                                    capped_tube):
+def test_rate_theorem_on_a_hex_tube(tmp_path, capsys, capped_tube):
+    # the tube's middle ring has no lattice map; its starts get exact
+    # witnesses, and the certificate goes through
     path = tmp_path / "tube.json"
     path.write_bytes(formats.encode_rotation_json(capped_tube))
-    code, _, err = run(capsys, "rate", "--input", str(path),
+    code, out, _ = run(capsys, "rate", "--input", str(path),
                        "--format", "rotation_json", "--theorem", "thm3_planar")
-    assert code == 2
-    assert json.loads(err)["error"] == "NotApplicable"
+    assert code == 0
+    assert json.loads(out)["passed"] is True
 
 
 @pytest.mark.parametrize("argv", [
@@ -203,6 +204,42 @@ def test_rate_theorem_hex_start_without_lattice_map(tmp_path, capsys,
     ("solve", "--family", "path:3", "--start", "7", "--k", "1"),
 ], ids=["alpha_abc", "alpha_0", "schedule_4", "k_minus_1", "start_7"])
 def test_bad_arguments_exit_2_with_json(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "BadParameter"
+
+
+def test_config_values_are_converted_like_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "path:5", "k": "1", "start": 3}))
+    code, out, _ = run(capsys, "--config", str(cfg), "solve", "--start", "0")
+    assert code == 0
+    # "1" is read as --k 1, and the given --start 0 wins over the config
+    assert out == run(capsys, "solve", "--family", "path:5", "--k", "1",
+                      "--start", "0")[1]
+
+
+SOLVE = ("solve", "--family", "path:3", "--start", "0")
+RENDER = ("render", "--family", "path:5", "--trace", "@trace.json",
+          "--out", "@imgs")
+
+
+@pytest.mark.parametrize("files, argv", [
+    ({"cfg.json": '{"k": "one"}'}, ("--config", "@cfg.json", *SOLVE)),
+    ({"cfg.json": '{"k": 1'}, ("--config", "@cfg.json", *SOLVE)),
+    ({"cfg.json": '[1]'}, ("--config", "@cfg.json", *SOLVE)),
+    ({}, ("--config", "@missing.json", *SOLVE)),
+    ({}, ("solve", "--input", "@missing.json", "--format", "rotation_json",
+          "--start", "0", "--k", "1")),
+    ({"trace.json": '{"start": 0, "rounds": [], "saved": 5}'}, RENDER),
+    ({"trace.json": 'not json'}, RENDER),
+], ids=["config_k_one", "config_malformed", "config_not_object",
+        "config_missing", "input_missing", "trace_without_schedule",
+        "trace_not_json"])
+def test_bad_files_exit_2_with_json(tmp_path, capsys, files, argv):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [a.replace("@", f"{tmp_path}/") for a in argv]
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "BadParameter"

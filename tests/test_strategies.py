@@ -9,7 +9,11 @@ from firecontain.engine import (
     run_simulation,
     sn_exact,
 )
-from firecontain.errors import EmbeddingInconsistent, NotApplicable
+from firecontain.errors import (
+    CorruptPlan,
+    EmbeddingInconsistent,
+    NotApplicable,
+)
 from firecontain.strategies import (
     checked_grid_plan,
     config_plan,
@@ -42,6 +46,17 @@ def test_load_plan_rejects_corruption(monkeypatch):
     with pytest.raises(EmbeddingInconsistent):
         load_plan("hex_containment")
     load_plan.cache_clear()
+
+
+def test_corrupt_plans_name_themselves(monkeypatch):
+    load_plan.cache_clear()
+    monkeypatch.setitem(strategies.PLAN_HASHES, "rect_containment", "0" * 64)
+    with pytest.raises(CorruptPlan, match="corrupted"):
+        load_plan("rect_containment")
+    load_plan.cache_clear()
+    unprotected = dict(load_plan("hex_containment"), rounds=[])
+    with pytest.raises(CorruptPlan, match="fails its guarantee"):
+        strategies._guard_plan(unprotected)
 
 
 def test_lattice_map_hex():
@@ -297,13 +312,31 @@ def test_dispatch_plans_low_degree_starts():
         [[[1, 2]], [[0, 2]], [[0, 1]]]
 
 
-def test_dispatch_rejects_a_hex_start_without_lattice_map(capped_tube):
-    # the depth-3 degree test passes in the middle of a circumference-5
-    # tube, but the lattice wraps round the tube and cannot be mapped
-    rep = classify.classify_planar(capped_tube)
-    assert rep.evidence[22] == {"rule": "hex_neighborhood"}
-    assert lattice_map(capped_tube, 22, "hex") is None
-    with pytest.raises(NotApplicable):
-        theorem_dispatch("planar_thm3", rep)(capped_tube, 22)
-    with pytest.raises(NotApplicable):
-        rates.certify_bound(capped_tube, "thm3_planar")
+@pytest.mark.parametrize("tube, context, middle", [
+    ("capped_tube", "planar_thm3", range(20, 25)),
+    ("square_tube", "trianglefree_thm5", range(40, 45)),
+], ids=["capped_tube", "square_tube"])
+def test_tube_middles_get_exact_witnesses_not_the_grid_rule(
+        request, tube, context, middle):
+    # the middle ring passes the degree-only walk to depth 3 (hex) or 7
+    # (rect), but the lattice wraps round the tube: no lattice map, so no
+    # grid rule, and the exact search decides each start with a witness
+    g = request.getfixturevalue(tube)
+    lattice, cap = {"planar_thm3": ("hex", 6),
+                    "trianglefree_thm5": ("rect", 18)}[context]
+    classify_fn = {"planar_thm3": classify.classify_planar,
+                   "trianglefree_thm5": classify.classify_triangle_free}
+    rep = classify_fn[context](g)
+    assert not any(ev["rule"] in ("hex_neighborhood", "rect_neighborhood")
+                   for ev in rep.evidence.values())
+    plan_for = theorem_dispatch(context, rep)
+    sched = classify.SCHEDULES[context]
+    for v in middle:
+        assert classify.grid_neighborhood_test(g, v, lattice) == (False, None)
+        assert lattice_map(g, v, lattice) is None
+        assert rep.side(v) == "X" and rep.evidence[v]["rule"] == "exact"
+        trace = replay(g, v, sched, plan_for(g, v))
+        assert trace.to_json() == rep.evidence[v]["trace"]
+        assert trace.burned_count <= cap
+    if context == "planar_thm3":
+        assert rates.certify_bound(g, "thm3_planar").passed
