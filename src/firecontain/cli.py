@@ -107,14 +107,23 @@ def _read(path: str, flag: str, parse):
         raise BadParameter(f"{flag} {path}: {exc!r}") from None
 
 
-def _apply_config(args, subparser) -> None:
-    """Set unset flags from the ``--config`` object, read as flag text."""
+def _given_flags(parser, subparser, argv) -> set[str]:
+    """The destinations of the flags given on the command line: ``argv``
+    parsed again with every default of ``subparser`` suppressed."""
+    for action in subparser._actions:
+        action.default = argparse.SUPPRESS
+    return set(vars(parser.parse_args(argv)))
+
+
+def _apply_config(args, subparser, given) -> None:
+    """Set the flags not ``given`` from the ``--config`` object, read as
+    flag text; config values replace defaults."""
     actions = {a.dest: a for a in subparser._actions}
     config = _read(args.config, "--config", lambda b: dict(json.loads(b)))
     for key, value in config.items():
         attr = key.replace("-", "_")
-        if not any(getattr(args, attr, None) is x for x in (None, False)):
-            continue  # a given flag, 0 included
+        if attr in given:
+            continue
         action = actions.get(attr)
         if action is not None and action.nargs != 0:  # not a switch
             try:
@@ -185,7 +194,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         if args.config:
-            _apply_config(args, sub.choices[args.command])
+            subparser = sub.choices[args.command]
+            _apply_config(args, subparser,
+                          _given_flags(ap, subparser, argv))
         return _dispatch(args)
     except FireContainError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)},

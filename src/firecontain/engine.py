@@ -4,6 +4,15 @@ Round convention: the fire ignites at round 0; firefighters act at rounds
 1, 2, ... before each spread.  Protecting fewer vertices than the budget
 (including none) is legal.
 
+Simulation: ``advance_round`` is the one round step.  A ``FireState``
+carries the free part of N(burning), its frontier, from round to round:
+after a spread the old frontier is burning or protected, so the new
+frontier is the free neighbours of the newly burned vertices alone, and a
+round costs the fire's growth, not the whole burning set.  The cheap
+probes of ``min_burned_containment`` run on the same loop but stop as soon
+as the burned count passes the cap or a round would begin past the round
+bound: both counts only grow, so such a probe could never be accepted.
+
 Exact search:
 
 * ``sn_exact`` maximises the saved count and ``_contain_by_dfs`` decides
@@ -22,6 +31,7 @@ Exact search:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -62,9 +72,16 @@ class Schedule:
 
 @dataclass(frozen=True)
 class FireState:
+    """The fire after ``round`` rounds.  ``front``, the unprotected,
+    unburned neighbours of the burning set, is carried by
+    ``advance_round``; a state built without it (``ignite``) gets it from
+    the burning set when first needed."""
+
     burning: frozenset[int]
     protected: frozenset[int]
     round: int
+    front: Optional[frozenset[int]] = field(default=None, compare=False,
+                                            repr=False)
 
 
 @dataclass(frozen=True)
@@ -107,11 +124,26 @@ class SimTrace:
 
     @classmethod
     def from_json(cls, obj: dict, n: int) -> "SimTrace":
+        """The trace of ``obj`` on an ``n``-vertex graph; ValueError for a
+        vertex id that is not an int in 0..n-1 or a schedule that is not
+        two non-negative ints."""
+        def vertices(vs) -> tuple[int, ...]:
+            vs = tuple(vs)
+            bad = [v for v in vs if type(v) is not int or not 0 <= v < n]
+            if bad:
+                raise ValueError(f"{bad!r} are not vertices of this "
+                                 f"{n}-vertex graph")
+            return vs
+
+        pair = obj["schedule"]
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(type(b) is int for b in pair)):
+            raise ValueError(f"schedule {pair!r} is not two ints")
         return cls(
-            start=obj["start"],
-            schedule=Schedule(*obj["schedule"]),
+            start=vertices([obj["start"]])[0],
+            schedule=Schedule(*pair),
             rounds=tuple(
-                RoundRecord(tuple(r["protect"]), tuple(r["burned"]))
+                RoundRecord(vertices(r["protect"]), vertices(r["burned"]))
                 for r in obj["rounds"]
             ),
             saved=obj["saved"],
@@ -135,10 +167,19 @@ def frontier(g: EmbeddedGraph, burning: frozenset[int],
     return out - burning - protected
 
 
+def _front(g: EmbeddedGraph, state: FireState) -> frozenset[int]:
+    """The state's frontier, carried or else taken from its burning set."""
+    if state.front is not None:
+        return state.front
+    return frozenset(frontier(g, state.burning, state.protected))
+
+
 def advance_round(g: EmbeddedGraph, state: FireState,
                   protections: Iterable[int], budget: int) -> FireState:
     """Apply one round: protections first, then the fire spreads to all
-    unprotected, unburned neighbours of burning vertices."""
+    unprotected, unburned neighbours of burning vertices.  The frontier
+    that was not protected burns, so the next frontier is the free part of
+    the adjacency of the newly burned vertices."""
     prot = frozenset(protections)
     if len(prot) > budget:
         raise BudgetExceeded(f"{len(prot)} protections exceed budget {budget}")
@@ -146,27 +187,45 @@ def advance_round(g: EmbeddedGraph, state: FireState,
     if clash:
         raise ProtectBurningVertex(
             f"cannot protect burning/protected vertices {sorted(clash)}")
+    newly = _front(g, state) - prot
+    burning = state.burning | newly
     protected = state.protected | prot
-    newly = frontier(g, state.burning, protected)
-    return FireState(state.burning | newly, protected, state.round + 1)
+    front: set[int] = set()
+    for u in newly:
+        front.update(g.adjacency[u])
+    front -= burning
+    front -= protected
+    return FireState(burning, protected, state.round + 1, frozenset(front))
 
 
 def run_simulation(g: EmbeddedGraph, start: int, schedule: Schedule,
                    strategy: Decide) -> SimTrace:
     """Run the process until no burning vertex has a free neighbour."""
+    return _simulate(g, start, schedule, strategy, math.inf, math.inf)
+
+
+def _simulate(g: EmbeddedGraph, start: int, schedule: Schedule,
+              strategy: Decide, burn_cap: float, round_bound: float
+              ) -> Optional[SimTrace]:
+    """``run_simulation``, or None once more than ``burn_cap`` vertices
+    burn or a round past ``round_bound`` would begin.  A round's budget
+    and clash checks come before the cut."""
     state = ignite(start)
     rounds: list[RoundRecord] = []
-    while frontier(g, state.burning, state.protected):
+    while front := _front(g, state):
         round_no = state.round + 1
+        if round_no > round_bound:
+            return None
         budget = schedule.budget(round_no)
         prot = sorted(set(strategy(g, state, budget)))
         try:
-            nxt = advance_round(g, state, prot, budget)
+            state = advance_round(g, state, prot, budget)
         except (BudgetExceeded, ProtectBurningVertex) as exc:
             raise StrategyBudgetViolation(str(exc)) from exc
         rounds.append(RoundRecord(tuple(prot),
-                                  tuple(sorted(nxt.burning - state.burning))))
-        state = nxt
+                                  tuple(sorted(front.difference(prot)))))
+        if len(state.burning) > burn_cap:
+            return None
     return SimTrace(start=start, schedule=schedule, rounds=tuple(rounds),
                     saved=g.n - len(state.burning), n=g.n)
 
@@ -198,7 +257,7 @@ def greedy_frontier_strategy(key: str = "degree") -> Decide:
     """Protect the most dangerous frontier vertices first.  Cheap probe used
     to seed incumbents; makes no guarantee."""
     def decide(g: EmbeddedGraph, state: FireState, budget: int) -> list[int]:
-        cand = frontier(g, state.burning, state.protected)
+        cand = _front(g, state)
         if key == "degree":
             score = lambda v: (-g.degree(v), v)
         else:  # "spread": free neighbours the vertex would ignite
@@ -414,26 +473,19 @@ def min_burned_containment(
     # plan within the cap is contained by round burn_cap
     bound = burn_cap if round_cap is None else min(round_cap, burn_cap)
 
-    if g.n <= burn_cap:
-        # every strategy trivially respects the cap; letting it burn is a
-        # (degenerate) witness, but still check the round bound
-        t = run_simulation(g, start, schedule, null_strategy)
-        if _containment_round(t) <= bound:
-            return ContainmentResult("feasible", trace=t, proven=True)
-
-    for probe in tuple(probes) + DEFAULT_PROBES:
-        t = run_simulation(g, start, schedule, probe)
-        if t.burned_count <= burn_cap and _containment_round(t) <= bound:
+    # every strategy trivially respects the cap on a small graph; letting
+    # it burn is a (degenerate) witness, but still check the round bound.
+    # A probe is cut off as soon as it can no longer meet both caps.
+    trivial = (null_strategy,) if g.n <= burn_cap else ()
+    for probe in trivial + tuple(probes) + DEFAULT_PROBES:
+        t = _simulate(g, start, schedule, probe, burn_cap, bound)
+        if t is not None:
             return ContainmentResult("feasible", trace=t, proven=True)
 
     if burn_cap <= REGION_ENUM_MAX_CAP:
         return _contain_by_region_enum(g, start, schedule, burn_cap, bound,
                                        node_limit)
     return _contain_by_dfs(g, start, schedule, burn_cap, bound, node_limit)
-
-
-def _containment_round(trace: SimTrace) -> int:
-    return len(trace.rounds)
 
 
 # .. exact region enumeration (small caps) ..................................
@@ -467,7 +519,7 @@ def _contain_by_region_enum(g, start, schedule, burn_cap, round_bound,
         return ContainmentResult("infeasible", proven=True, nodes=nodes)
     trace = run_simulation(g, start, schedule, plan_strategy(best[1]))
     assert trace.burned_count <= burn_cap
-    assert _containment_round(trace) <= round_bound
+    assert len(trace.rounds) <= round_bound
     return ContainmentResult("feasible", trace=trace, proven=True,
                              nodes=nodes)
 

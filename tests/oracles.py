@@ -11,18 +11,62 @@ from firecontain.embedding import build
 from firecontain.engine import (
     DEFAULT_PROBES,
     ContainmentResult,
+    FireState,
+    RoundRecord,
     Schedule,
     SimTrace,
     SnResult,
     frontier,
+    ignite,
     min_burned_containment,
     null_strategy,
     plan_strategy,
     run_simulation,
 )
-from firecontain.errors import NotApplicable
+from firecontain.errors import (
+    BudgetExceeded,
+    NotApplicable,
+    ProtectBurningVertex,
+    StrategyBudgetViolation,
+)
 from firecontain.families import HEX_DIRS, RECT_DIRS, cycle
 from firecontain.strategies import lattice_probes, load_plan, mapped_plan
+
+
+# -- the round engine that re-unions the frontier every round ----------------
+
+def run_simulation_reference(g, start, schedule, strategy):
+    """``engine.run_simulation`` without a carried frontier: every round
+    takes the frontier from the whole burning set, and the strategy sees
+    states that carry none."""
+    state = ignite(start)
+    rounds = []
+    while frontier(g, state.burning, state.protected):
+        round_no = state.round + 1
+        budget = schedule.budget(round_no)
+        prot = sorted(set(strategy(g, state, budget)))
+        try:
+            nxt = _advance_round_reference(g, state, prot, budget)
+        except (BudgetExceeded, ProtectBurningVertex) as exc:
+            raise StrategyBudgetViolation(str(exc)) from exc
+        rounds.append(RoundRecord(tuple(prot),
+                                  tuple(sorted(nxt.burning - state.burning))))
+        state = nxt
+    return SimTrace(start=start, schedule=schedule, rounds=tuple(rounds),
+                    saved=g.n - len(state.burning), n=g.n)
+
+
+def _advance_round_reference(g, state, protections, budget):
+    prot = frozenset(protections)
+    if len(prot) > budget:
+        raise BudgetExceeded(f"{len(prot)} protections exceed budget {budget}")
+    clash = prot & (state.burning | state.protected)
+    if clash:
+        raise ProtectBurningVertex(
+            f"cannot protect burning/protected vertices {sorted(clash)}")
+    protected = state.protected | prot
+    newly = frontier(g, state.burning, protected)
+    return FireState(state.burning | newly, protected, state.round + 1)
 
 
 def sn_reference(g, start, schedule):

@@ -219,6 +219,23 @@ def test_config_values_are_converted_like_flags(tmp_path, capsys):
                       "--start", "0")[1]
 
 
+def test_config_values_replace_defaults_but_not_given_flags(tmp_path,
+                                                             capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"node-limit": 5}))
+    solve = ("solve", "--family", "rect_grid:4,4", "--start", "0", "--k", "1")
+    # the config replaces the default limit of 10 000 000
+    code, out, _ = run(capsys, "--config", str(cfg), *solve)
+    assert code == 3
+    assert json.loads(out)["nodes"] == 6
+    assert out == run(capsys, *solve, "--node-limit", "5")[1]
+    # a flag given on the command line wins, even at its default value
+    code, out, _ = run(capsys, "--config", str(cfg), *solve,
+                       "--node-limit", "10000000")
+    assert code == 0
+    assert json.loads(out)["optimal"] is True
+
+
 SOLVE = ("solve", "--family", "path:3", "--start", "0")
 RENDER = ("render", "--family", "path:5", "--trace", "@trace.json",
           "--out", "@imgs")
@@ -233,9 +250,17 @@ RENDER = ("render", "--family", "path:5", "--trace", "@trace.json",
           "--start", "0", "--k", "1")),
     ({"trace.json": '{"start": 0, "rounds": [], "saved": 5}'}, RENDER),
     ({"trace.json": 'not json'}, RENDER),
+    ({"trace.json": '{"start": 99, "schedule": [1, 1], "rounds": [], '
+                    '"saved": 0}'}, RENDER),
+    ({"trace.json": '{"start": 0, "schedule": [1, 1], "rounds": '
+                    '[{"protect": [], "burned": ["x"]}], "saved": 3}'},
+     RENDER),
+    ({"trace.json": '{"start": 0, "schedule": [1.5, 1], "rounds": [], '
+                    '"saved": 4}'}, RENDER),
 ], ids=["config_k_one", "config_malformed", "config_not_object",
         "config_missing", "input_missing", "trace_without_schedule",
-        "trace_not_json"])
+        "trace_not_json", "trace_start_99", "trace_burned_x",
+        "trace_schedule_float"])
 def test_bad_files_exit_2_with_json(tmp_path, capsys, files, argv):
     for name, text in files.items():
         (tmp_path / name).write_text(text)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from conftest import random_connected_graph
-from firecontain import engine, families as F
+from firecontain import engine, families as F, randgen
 from firecontain.engine import (
     ContainmentResult,
     Schedule,
@@ -23,9 +23,11 @@ from firecontain.errors import (
     ProtectBurningVertex,
     StrategyBudgetViolation,
 )
+from firecontain.strategies import lattice_probes, load_plan, mapped_plan
 from oracles import (
     connected_subsets_reference,
     containment_reference,
+    run_simulation_reference,
     sn_reference,
 )
 
@@ -188,3 +190,117 @@ def test_containment_rejects_bad_caps():
 def test_containment_result_flags():
     r = ContainmentResult("infeasible", proven=True)
     assert not r.feasible
+
+
+# -- the carried frontier and the probe cut-off --------------------------------
+
+def _engine_corpus():
+    yield F.hex_patch(3)
+    yield F.rect_grid(9, 9)
+    for seed in (1, 2, 3):
+        yield randgen.random_triangulation(60, seed)
+        yield randgen.random_tf_maximal(40, seed)
+
+
+def test_run_simulation_matches_the_reference_round_engine():
+    plans = [(Schedule(*plan["schedule"]), plan)
+             for plan in map(load_plan, ("hex_containment",
+                                         "rect_containment"))]
+    for g in _engine_corpus():
+        for start in range(g.n):
+            runs = [(sched, strat)
+                    for sched in (Schedule(4, 3), Schedule.constant(2))
+                    for strat in (null_strategy,) + engine.DEFAULT_PROBES]
+            for sched, plan in plans:
+                mapped = mapped_plan(g, start, plan)
+                if mapped is not None:
+                    runs.append((sched, plan_strategy(mapped)))
+            for sched, strat in runs:
+                assert run_simulation(g, start, sched, strat) == \
+                    run_simulation_reference(g, start, sched, strat)
+
+
+def _violation(simulate, g, start, strategy):
+    with pytest.raises(StrategyBudgetViolation) as err:
+        simulate(g, start, Schedule.constant(1), strategy)
+    return str(err.value)
+
+
+def test_budget_violations_match_the_reference_round_engine():
+    def over_budget(g, state, budget):
+        if state.round < 2:
+            return []
+        return [v for v in range(g.n) if v not in state.burning
+                and v not in state.protected][:budget + 1]
+
+    def protect_burning(g, state, budget):
+        return [max(state.burning)] if state.round == 2 else []
+
+    def protect_twice(g, state, budget):
+        if state.round == 0:
+            return [max(g.adjacency[min(state.burning)])]
+        return sorted(state.protected) if state.round == 2 else []
+
+    g = F.rect_grid(9, 9)
+    for strategy in (over_budget, protect_burning, protect_twice):
+        for start in (0, 40):
+            assert _violation(run_simulation, g, start, strategy) == \
+                _violation(run_simulation_reference, g, start, strategy)
+
+
+@pytest.mark.parametrize("burn_cap, round_cap", [(6, None), (80, 2)])
+def test_probe_stops_at_the_caps(burn_cap, round_cap):
+    # without firefighters the greedy probes burn the whole grid, so every
+    # probe fails and the search runs; from the centre the fire needs 8
+    # rounds, so an uncut probe would be called 8 times
+    g, start, sched = F.rect_grid(9, 9), 40, Schedule.constant(0)
+    for probe in engine.DEFAULT_PROBES:
+        assert run_simulation(g, start, sched, probe).burned_count == g.n
+    calls = []
+
+    def counting(g_, state, budget):
+        calls.append(state.round + 1)
+        return []
+
+    res = min_burned_containment(g, start, sched, burn_cap=burn_cap,
+                                 round_cap=round_cap, probes=[counting])
+    assert res.status == "infeasible"
+    bound = burn_cap if round_cap is None else min(burn_cap, round_cap)
+    assert 1 <= len(calls) <= bound
+
+
+def _capped_reference(g, start, schedule, strategy, burn_cap, round_bound):
+    t = run_simulation_reference(g, start, schedule, strategy)
+    if t.burned_count <= burn_cap and len(t.rounds) <= round_bound:
+        return t
+    return None
+
+
+def _containment_outcomes(g, sched, cap, node_limit):
+    out = []
+    for start in range(g.n):
+        res = min_burned_containment(
+            g, start, sched, burn_cap=cap, node_limit=node_limit,
+            probes=lattice_probes(g, start, sched, cap))
+        out.append((res.status, res.nodes,
+                    None if res.trace is None else res.trace.to_json()))
+    return out
+
+
+# node_limit bounds the region enumeration around the hubs of the stacked
+# triangulations, whose timeouts are compared like any other outcome
+@pytest.mark.parametrize("graph, sched, cap, node_limit", [
+    (("random_triangulation", 200, 1), Schedule(4, 3), 6, 1000),
+    (("random_triangulation", 200, 2), Schedule(4, 3), 6, 1000),
+    (("random_triangulation", 200, 3), Schedule(4, 3), 6, 1000),
+    (("random_tf_maximal", 60, 1), Schedule.constant(2), 18, 2_000_000),
+    (("random_tf_maximal", 60, 2), Schedule.constant(2), 18, 2_000_000),
+    (("random_tf_maximal", 60, 3), Schedule.constant(2), 18, 2_000_000),
+], ids=["tri200-1", "tri200-2", "tri200-3", "tf60-1", "tf60-2", "tf60-3"])
+def test_probe_cut_off_keeps_every_containment_result(
+        monkeypatch, graph, sched, cap, node_limit):
+    gen, n, seed = graph
+    g = getattr(randgen, gen)(n, seed)
+    got = _containment_outcomes(g, sched, cap, node_limit)
+    monkeypatch.setattr(engine, "_simulate", _capped_reference)
+    assert got == _containment_outcomes(g, sched, cap, node_limit)
