@@ -206,6 +206,10 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     cmd = args.command
+    # solve, classify and rate: a search needs room for its first node
+    if getattr(args, "node_limit", 1) < 1:
+        raise BadParameter(
+            f"--node-limit must be at least 1, got {args.node_limit}")
     if cmd == "generate":
         g = _load_graph(args)
         if args.output_format == "rotation_json":

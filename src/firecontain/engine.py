@@ -23,6 +23,12 @@ Exact search:
   layered flood of the free component yields the candidates, in the order
   (distance, -degree, vertex), and the protected vertices that matter to
   the state's key.
+* ``sn_exact`` is a branch-and-bound: each state is searched against a
+  threshold, the best save count already in hand, and is solved exactly
+  only when it beats it; otherwise it yields an upper bound, and the memo
+  keeps exact values and bounds apart.  Before a child is searched, it is
+  bounded one round ahead: of its frontier, at most the next round's
+  budget can be protected and the rest burns.
 * ``min_burned_containment`` tries heuristic probes first.  For small caps
   it then enumerates all candidate final burned regions and checks an
   earliest-deadline-first schedule for the surrounding wall, which is
@@ -379,6 +385,19 @@ def sn_exact(g: EmbeddedGraph, start: int, schedule: Schedule,
     keyed by its burning set, the protected vertices next to the burning
     set or to the free component, and the round's budget.
 
+    Each state is searched against a threshold ``alpha``: above it the
+    search returns the state's exact value and its plan, and at or below
+    it only an upper bound that is at most ``alpha``.  The memo records
+    which of the two it holds; a bound is reused only under a threshold
+    at least as high.  A child is searched against the larger of the
+    parent's threshold and the best exact sibling value so far, and is
+    skipped when its one-round-ahead bound cannot beat that: of its
+    frontier F', at most ``schedule.budget(round + 1)`` vertices can be
+    protected next round and the rest burn.  The root's threshold is one
+    below the best greedy probe, so the root is always exact.  Ties fail
+    low, so the plan is that of the first child in combination order
+    that reaches the maximum.
+
     Returns a non-optimal result carrying the best known lower bound when
     the node limit is hit.
     """
@@ -393,9 +412,11 @@ def sn_exact(g: EmbeddedGraph, start: int, schedule: Schedule,
         if best_probe is None or t.saved > best_probe.saved:
             best_probe = t
 
-    def solve(burning: int, nbhd: int, protected: int, round_no: int):
-        """Return (value, plan) exact for this state; ``nbhd`` is
-        N(burning)."""
+    def solve(burning: int, nbhd: int, protected: int, round_no: int,
+              alpha: int):
+        """(value, plan) for this state when its value is above
+        ``alpha``, else (bound, None) with the upper bound at most
+        ``alpha``; ``nbhd`` is N(burning)."""
         nonlocal nodes
         nodes += 1
         if nodes > node_limit:
@@ -407,34 +428,45 @@ def sn_exact(g: EmbeddedGraph, start: int, schedule: Schedule,
         budget = schedule.budget(round_no)
         layers, reach_nbhd = _flood(masks, front, blocked)
         key = (burning, protected & (reach_nbhd | nbhd), budget)
-        if key in memo:
-            return memo[key]
+        hit = memo.get(key)
+        # an exact entry always serves; a bound only under a threshold at
+        # least as high.  Thresholds never fall in the order states are
+        # visited, so a bound in fact always serves; the check does not
+        # rely on that.
+        if hit is not None and (hit[1] is not None or hit[0] <= alpha):
+            return hit
         cands = _candidates(layers, rank)
-        best_val, best_plan = -1, None
+        ahead_budget = schedule.budget(round_no + 1)
+        best_val, best_plan, bound = alpha, None, 0
         for combo, burn2, prot2 in _children(burning, protected, front,
                                              cands, min(budget, len(cands))):
-            # child's value can never beat this bound
-            if n - burn2.bit_count() <= best_val:
-                continue
-            val, plan = solve(
-                burn2, nbhd | _neighbourhood(masks, burn2 & ~burning),
-                prot2, round_no + 1)
+            nbhd2 = nbhd | _neighbourhood(masks, burn2 & ~burning)
+            # next round protects at most ahead_budget of the child's
+            # frontier; the rest of it burns
+            spill = (nbhd2 & ~(burn2 | prot2)).bit_count() - ahead_budget
+            val = n - burn2.bit_count() - max(0, spill)
             if val > best_val:
-                best_val, best_plan = val, [list(combo)] + plan
-        if best_val < 0:  # no candidates at all: fire already contained
-            best_val, best_plan = n - burning.bit_count(), []
-        memo[key] = (best_val, best_plan)
-        return best_val, best_plan
+                val, plan = solve(burn2, nbhd2, prot2, round_no + 1,
+                                  best_val)
+                if val > best_val:
+                    best_val, best_plan = val, [list(combo)] + plan
+                    continue
+            bound = max(bound, val)
+        result = ((best_val, best_plan) if best_plan is not None
+                  else (bound, None))
+        memo[key] = result
+        return result
 
     try:
-        value, plan = solve(1 << start, masks[start], 0, 1)
+        value, plan = solve(1 << start, masks[start], 0, 1,
+                            best_probe.saved - 1)
     except _NodeLimit:
         return SnResult(value=best_probe.saved, trace=best_probe,
                         optimal=False, nodes=nodes)
+    if plan is None:  # pragma: no cover - probe is also a plan
+        raise AssertionError("probe beat the exact optimum")
     trace = run_simulation(g, start, schedule, plan_strategy(plan))
     assert trace.saved == value
-    if best_probe.saved > value:  # pragma: no cover - probe is also a plan
-        raise AssertionError("probe beat the exact optimum")
     return SnResult(value=value, trace=trace, optimal=True, nodes=nodes)
 
 

@@ -66,7 +66,7 @@ def test_solve(capsys):
 
 def test_solve_timeout_exit_code(capsys):
     code, out, _ = run(capsys, "solve", "--family", "rect_grid:6,6",
-                       "--start", "14", "--k", "2", "--node-limit", "50")
+                       "--start", "14", "--k", "2", "--node-limit", "10")
     assert code == 3
     assert not json.loads(out)["optimal"]
 
@@ -202,7 +202,19 @@ def test_rate_theorem_on_a_hex_tube(tmp_path, capsys, capped_tube):
     ("rate", "--family", "path:3", "--schedule", "4"),
     ("simulate", "--family", "path:3", "--start", "0", "--k", "-1"),
     ("solve", "--family", "path:3", "--start", "7", "--k", "1"),
-], ids=["alpha_abc", "alpha_0", "schedule_4", "k_minus_1", "start_7"])
+    ("solve", "--family", "path:3", "--start", "0", "--k", "1",
+     "--node-limit", "-5"),
+    ("solve", "--family", "path:3", "--start", "0", "--k", "1",
+     "--node-limit", "0"),
+    ("rate", "--family", "path:3", "--k", "1", "--node-limit", "-1"),
+    ("rate", "--family", "cycle:3", "--theorem", "thm3_planar",
+     "--node-limit", "0"),
+    ("classify", "--family", "octahedron", "--context", "planar",
+     "--node-limit", "-3"),
+], ids=["alpha_abc", "alpha_0", "schedule_4", "k_minus_1", "start_7",
+        "solve_node_limit_minus_5", "solve_node_limit_0",
+        "rate_node_limit_minus_1", "rate_theorem_node_limit_0",
+        "classify_node_limit_minus_3"])
 def test_bad_arguments_exit_2_with_json(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from firecontain import classify, families as F, randgen, rates
-from firecontain.engine import Schedule
+from firecontain.engine import Schedule, sn_exact
 from firecontain.errors import HypothesisViolated
 from firecontain.rates import (
     certify_bound,
@@ -29,6 +29,37 @@ def test_exact_rate_k23():
     rep = surviving_rate_exact(g, Schedule.constant(1))
     assert rep.rate == Fraction(2, 5)
     assert rep.saved == {0: 2, 1: 2, 2: 2, 3: 2, 4: 2}
+
+
+@pytest.mark.parametrize("w, h, k, rate", [
+    (5, 5, 1, Fraction(378, 625)),
+    (5, 5, 2, Fraction(553, 625)),
+    (6, 6, 1, Fraction(11, 18)),
+    (6, 6, 2, Fraction(293, 324)),
+])
+def test_exact_square_grid_rates(w, h, k, rate):
+    # Only the pruned search (threshold passed down, children bounded one
+    # round ahead) finishes rect_grid(6,6) at k = 1 in test time; the
+    # search before it gave the same 5x5 values, which cross-checks it.
+    rep = surviving_rate_exact(F.rect_grid(w, h), Schedule.constant(k))
+    assert rep.mode == "exact" and not rep.partial
+    assert rep.rate == rate
+
+
+def test_orbit_solves_of_rect_grid_4_5_stay_small(monkeypatch):
+    # the six orbit solves took 33 104 nodes before the search was pruned
+    # by thresholds and one-round lookahead, and 128 after
+    nodes = []
+
+    def counting(g, v, schedule, node_limit):
+        res = sn_exact(g, v, schedule, node_limit=node_limit)
+        nodes.append(res.nodes)
+        return res
+
+    monkeypatch.setattr(rates, "sn_exact", counting)
+    rep = surviving_rate_exact(F.rect_grid(4, 5), Schedule.constant(1))
+    assert not rep.partial and rep.rate == Fraction(121, 200)
+    assert len(nodes) == 6 and sum(nodes) < 1000
 
 
 def test_star_rate_two_firefighters():

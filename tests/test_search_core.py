@@ -1,19 +1,28 @@
 """The bitset search core against the frozenset searches it replaced:
-equal values, statuses, witnesses and node counts, timeouts included."""
+equal values, statuses and witnesses.  The containment DFS also matches
+their node counts, timeouts included; the pruned ``sn_exact`` never
+takes more nodes, and matches them node for node on timeouts below its
+own full count."""
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import random_connected_graph
 from firecontain import engine, families as F, randgen
 from firecontain.engine import Schedule
 from oracles import (
     contain_by_dfs_frozenset,
     sn_exact_frozenset,
+    sn_reference,
     wall_deadlines,
     wall_schedule_reference,
 )
 
 SCHEDULES = (Schedule.constant(1), Schedule.constant(2), Schedule(4, 3))
+# budgets that change after round 1: the one-round lookahead must use the
+# next round's budget, not the current one's
+SN_SCHEDULES = SCHEDULES + (Schedule(1, 2), Schedule(0, 1))
 
 
 def _sn_cases():
@@ -23,12 +32,19 @@ def _sn_cases():
     yield "dodecahedron", F.platonic("dodecahedron"), (0, 7, 13)
 
 
-@pytest.mark.parametrize("sched", SCHEDULES, ids=str)
+def _assert_same_solve(got, want, where):
+    assert (got.value, got.trace, got.optimal) == \
+        (want.value, want.trace, want.optimal), where
+    assert got.nodes <= want.nodes, where
+
+
+@pytest.mark.parametrize("sched", SN_SCHEDULES, ids=str)
 def test_sn_exact_matches_frozenset_search(sched):
     for name, g, starts in _sn_cases():
         for v in starts:
             got = engine.sn_exact(g, v, sched)
-            assert got == sn_exact_frozenset(g, v, sched), (name, v)
+            _assert_same_solve(got, sn_exact_frozenset(g, v, sched),
+                               (name, v))
             assert got.optimal
 
 
@@ -36,9 +52,10 @@ def test_sn_exact_matches_frozenset_search_on_quadrangulations():
     for seed in range(1, 6):
         g = randgen.random_tf_maximal(18, seed)
         for v in range(0, g.n, 2):
-            for sched in (Schedule.constant(1), Schedule.constant(2)):
-                assert engine.sn_exact(g, v, sched) == \
-                    sn_exact_frozenset(g, v, sched), (seed, v)
+            for sched in SN_SCHEDULES:
+                _assert_same_solve(engine.sn_exact(g, v, sched),
+                                   sn_exact_frozenset(g, v, sched),
+                                   (seed, v, sched))
 
 
 def test_sn_exact_timeouts_match_node_for_node():
@@ -47,9 +64,24 @@ def test_sn_exact_timeouts_match_node_for_node():
     for v in (0, 5):
         full = engine.sn_exact(g, v, k1).nodes
         for limit in (1, 2, 7, 50, full - 1):
+            if limit >= full:  # the pruned search finishes within it
+                continue
             got = engine.sn_exact(g, v, k1, limit)
             assert got == sn_exact_frozenset(g, v, k1, limit), (v, limit)
             assert not got.optimal and got.nodes == limit + 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(2, 7), p=st.sampled_from((0.3, 0.5, 0.8)),
+       seed=st.integers(0, 10_000), first=st.integers(0, 3),
+       rest=st.integers(0, 3))
+def test_sn_exact_matches_reference_on_any_schedule(n, p, seed, first, rest):
+    g = random_connected_graph(n, p, seed)
+    sched = Schedule(first, rest)
+    for start in range(g.n):
+        res = engine.sn_exact(g, start, sched)
+        assert res.optimal and res.trace.saved == res.value
+        assert res.value == sn_reference(g, start, sched), (start, sched)
 
 
 def _dfs_cases():

@@ -58,8 +58,10 @@ def _plain_rate(g, schedule, node_limit=10_000_000):
     (F.platonic("cube"), Schedule.constant(2), 10_000_000),
     (F.hex_patch(1), Schedule(4, 3), 10_000_000),
     (F.star(7), Schedule.constant(1), 10_000_000),
-    (F.rect_grid(4, 5), Schedule.constant(1), 300),
-    (F.platonic("dodecahedron"), Schedule.constant(1), 50),
+    # orbit solves take 6-30 nodes on rect_grid(4,5), so 20 finishes
+    # some and not others; every dodecahedron start takes 40-48
+    (F.rect_grid(4, 5), Schedule.constant(1), 20),
+    (F.platonic("dodecahedron"), Schedule.constant(1), 20),
 ], ids=["rect_grid(4,4)", "cube", "hex_patch(1)", "star(7)",
         "rect_grid(4,5)-partial", "dodecahedron-partial"])
 def test_orbit_rate_equals_per_vertex_loop(g, schedule, node_limit):
