@@ -17,7 +17,6 @@ from .embedding import EmbeddedGraph, Face, build
 from .errors import (
     BadParameter,
     CannotTriangulate,
-    ContainsTriangle,
     Disconnected,
     LoopOrMultiEdge,
 )
@@ -219,9 +218,7 @@ def augment_maximal_triangle_free(g: EmbeddedGraph) -> EmbeddedGraph:
     """Greedy local maximality: insert triangle-avoiding chords inside
     faces of degree >= 5 until none is insertable.  Returns ``g`` itself
     when no chord is insertable."""
-    g.require_verified()
-    if not g.is_triangle_free():
-        raise ContainsTriangle("input contains a triangle")
+    g.require_triangle_free()
     b = DartBuilder(g)
     adj = b.adjacency
     # a face with no insertable chord keeps none, since edges are only

@@ -19,16 +19,12 @@ from typing import Optional
 from .embedding import EmbeddedGraph, Face
 from .engine import Schedule, min_burned_containment
 from .errors import (
-    ContainsTriangle,
     GirthTooSmall,
     NotTriangulation,
     RequiresExactClassification,
     WrongContext,
-    WrongDegree,
 )
 from .families import HEX_DIRS, RECT_DIRS
-
-CONTEXTS = ("girth5_thm2", "planar_thm3", "trianglefree_thm5")
 
 SCHEDULES = {
     "girth5_thm2": Schedule.constant(2),
@@ -174,7 +170,7 @@ def detect_local_configs(g: EmbeddedGraph, v: int) -> list[ConfigMatch]:
     """All matching containment-friendly local patterns around a degree-3
     vertex of a triangle-free embedded graph."""
     if g.degree(v) != 3:
-        raise WrongDegree(f"vertex {v} has degree {g.degree(v)}, need 3")
+        raise WrongContext(f"vertex {v} has degree {g.degree(v)}, need 3")
     g.require_verified()
     out: list[ConfigMatch] = []
     nbrs = sorted(g.adjacency[v])
@@ -416,9 +412,7 @@ def classify_triangle_free(g: EmbeddedGraph, mode: str = "exact",
                            node_limit: int = 2_000_000
                            ) -> ClassificationReport:
     """Two-firefighter classes on a triangle-free planar graph, cap 18."""
-    g.require_verified()
-    if not g.is_triangle_free():
-        raise ContainsTriangle("graph contains a triangle")
+    g.require_triangle_free()
     sched = SCHEDULES["trianglefree_thm5"]
     labels: dict[int, str] = {}
     evidence: dict[int, dict] = {}
@@ -471,7 +465,7 @@ def special_sets(g: EmbeddedGraph, report: ClassificationReport) -> dict:
     """The derived sets over an exact triangle-free classification:
     Y32 = Y_3 vertices contiguous with exactly two elements of degree >= 5;
     Y53 = Y_5 vertices 4-adjacent to three Y_3 vertices."""
-    _require_exact_tf(report)
+    require_exact(report, "trianglefree_thm5")
     y3 = {v for v, lab in report.labels.items() if lab == "Y_3"}
     y5 = {v for v, lab in report.labels.items() if lab == "Y_5"}
     y32 = {}
@@ -489,10 +483,10 @@ def special_sets(g: EmbeddedGraph, report: ClassificationReport) -> dict:
     return {"Y32": y32, "Y53": y53}
 
 
-def _require_exact_tf(report: ClassificationReport) -> None:
-    if report.context != "trianglefree_thm5" or report.mode != "exact":
+def require_exact(report: ClassificationReport, context: str) -> None:
+    if report.context != context or report.mode != "exact":
         raise RequiresExactClassification(
-            "needs an exact triangle-free classification")
+            f"needs an exact {context} classification")
 
 
 @dataclass(frozen=True)
@@ -509,7 +503,7 @@ def verify_structural_claims(g: EmbeddedGraph, report: ClassificationReport
     if report.mode != "exact" and report.context != "girth5_thm2":
         raise RequiresExactClassification("claims need exact labels")
     if report.context == "planar_thm3":
-        return [_check_y5_neighbor_cap(g, report)]
+        return [check_y5_neighbor_cap(g, report)]
     if report.context != "trianglefree_thm5":
         raise RequiresExactClassification(
             "structural claims apply to the planar or triangle-free context")
@@ -525,7 +519,7 @@ def verify_structural_claims(g: EmbeddedGraph, report: ClassificationReport
     return out
 
 
-def _check_y5_neighbor_cap(g, report):
+def check_y5_neighbor_cap(g, report):
     """Degree >= 7 vertices have at most floor(d/2) neighbours labelled
     Y_5 (maximal planar context)."""
     bad = []

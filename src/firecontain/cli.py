@@ -76,9 +76,7 @@ def _load_graph(args):
 def _emit(obj, args) -> None:
     text = json.dumps(obj, sort_keys=True, indent=2)
     if getattr(args, "out", None):
-        path = pathlib.Path(args.out)
-        path.mkdir(parents=True, exist_ok=True)
-        (path / "result.json").write_text(text + "\n")
+        _write(args.out, {"result.json": text})
     else:
         print(text)
 
@@ -105,6 +103,18 @@ def _read(path: str, flag: str, parse):
         return parse(pathlib.Path(path).read_bytes())
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise BadParameter(f"{flag} {path}: {exc!r}") from None
+
+
+def _write(out: str, files: dict[str, str]) -> None:
+    """Write each text, plus a newline, to its name in directory ``out``;
+    any failure is a BadParameter."""
+    try:
+        path = pathlib.Path(out)
+        path.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (path / name).write_text(text + "\n")
+    except OSError as exc:
+        raise BadParameter(f"--out {out}: {exc!r}") from None
 
 
 def _given_flags(parser, subparser, argv) -> set[str]:
@@ -294,12 +304,10 @@ def _dispatch(args) -> int:
         g = _load_graph(args)
         trace = _read(args.trace, "--trace", lambda b:
                       engine.SimTrace.from_json(json.loads(b), g.n))
-        out = pathlib.Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        for rno, svg in enumerate(render.render_trace(g, trace)):
-            (out / f"round_{rno:02d}.svg").write_text(svg + "\n")
+        svgs = render.render_trace(g, trace)
+        _write(args.out, {f"round_{k:02d}.svg": s for k, s in enumerate(svgs)})
         print(json.dumps({"rounds": len(trace.rounds),
-                          "dir": str(out)}, sort_keys=True))
+                          "dir": str(pathlib.Path(args.out))}, sort_keys=True))
         return EXIT_OK
 
     raise BadParameter(f"unknown command {cmd!r}")

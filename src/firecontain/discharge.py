@@ -26,16 +26,12 @@ from .classify import (
     contiguous_elements,
     grid_ball,
     relation_flavors,
+    require_exact,
     special_sets,
 )
 from .embedding import EmbeddedGraph
-from .errors import (
-    ContainsTriangle,
-    NoEscapePath,
-    NotTriangulation,
-    NotTwoConnected,
-    RequiresExactClassification,
-)
+from .errors import NoEscapePath, NotTwoConnected
+from .formats import rational
 
 PLANAR_ALPHA = Fraction(1, 872)
 TF_ALPHA = Fraction(1, 360720)
@@ -61,7 +57,7 @@ class TransferRecord:
             "rule": self.rule,
             "donor": list(self.donor),
             "recipient": list(self.recipient),
-            "amount": _rat(self.amount),
+            "amount": rational(self.amount),
             "witness": self.witness,
         }
 
@@ -78,12 +74,6 @@ class ChargeLedger:
     def total(self) -> Fraction:
         return sum(self.vertex_charge.values(), Fraction(0)) + \
             sum(self.face_charge.values(), Fraction(0))
-
-    def charge(self, element: tuple[str, int]) -> Fraction:
-        kind, eid = element
-        if kind == "vertex":
-            return self.vertex_charge[eid]
-        return self.face_charge[eid]
 
     def with_transfers(self, records: list[TransferRecord]) -> "ChargeLedger":
         vc = dict(self.vertex_charge)
@@ -120,7 +110,7 @@ def transfer_planar(g: EmbeddedGraph, ledger: ChargeLedger,
     """Apply the planar rules.  R1: every degree >= 7 vertex gives 1/4 to
     each Y_5 neighbour.  R2: for every Y_6 vertex, the escape-path
     endpoint (degree != 6, distance <= 3) gives alpha."""
-    _require_exact(classification, "planar_thm3")
+    require_exact(classification, "planar_thm3")
     records: list[TransferRecord] = []
     for v in range(g.n):
         if g.degree(v) < 7:
@@ -147,9 +137,7 @@ def transfer_planar(g: EmbeddedGraph, ledger: ChargeLedger,
 def init_tf_charges(g: EmbeddedGraph,
                     alpha: Fraction = TF_ALPHA,
                     beta: Optional[Fraction] = None) -> ChargeLedger:
-    g.require_verified()
-    if not g.is_triangle_free():
-        raise ContainsTriangle("graph contains a triangle")
+    g.require_triangle_free()
     for f in g.faces():
         if len(set(f.boundary)) != len(f.boundary):
             raise NotTwoConnected(
@@ -166,7 +154,7 @@ def init_tf_charges(g: EmbeddedGraph,
 def transfer_tf(g: EmbeddedGraph, ledger: ChargeLedger,
                 classification: ClassificationReport) -> ChargeLedger:
     """Apply the triangle-free rules S1-S5 (see module docstring)."""
-    _require_exact(classification, "trianglefree_thm5")
+    require_exact(classification, "trianglefree_thm5")
     beta = ledger.beta
     sets = special_sets(g, classification)
     y53 = sets["Y53"]
@@ -219,12 +207,6 @@ def transfer_tf(g: EmbeddedGraph, ledger: ChargeLedger,
     return ledger.with_transfers(records)
 
 
-def _require_exact(report: ClassificationReport, context: str) -> None:
-    if report.context != context or report.mode != "exact":
-        raise RequiresExactClassification(
-            f"discharging needs an exact {context} classification")
-
-
 # -- audits -----------------------------------------------------------------
 
 @dataclass
@@ -249,7 +231,7 @@ class AuditReport:
     def to_json(self, transfers: tuple[TransferRecord, ...] = ()) -> dict:
         return {
             "context": self.context,
-            "conservation_residual": _rat(self.conservation_residual),
+            "conservation_residual": rational(self.conservation_residual),
             "bound_violations": [list(map(str, v))
                                  for v in self.bound_violations],
             "strict_x_bound": self.strict_x_bound,
@@ -257,7 +239,7 @@ class AuditReport:
             "crude_counts_ok": self.crude_counts_ok,
             "x": self.x,
             "y": self.y,
-            "counting_factor": _rat(self.counting_factor),
+            "counting_factor": rational(self.counting_factor),
             "extras": self.extras,
             "transfers": [t.to_json() for t in transfers],
             "ok": self.ok,
@@ -282,13 +264,9 @@ def audit_planar(g: EmbeddedGraph, ledger: ChargeLedger,
         else:
             if c < a:
                 violations.append(("vertex", v, "y_bound", c))
-    for v in range(g.n):
-        d = g.degree(v)
-        if d >= 7:
-            cnt = sum(1 for u in g.adjacency[v]
-                      if classification.labels[u] == "Y_5")
-            if cnt > d // 2:
-                violations.append(("vertex", v, "y5_neighbor_cap", cnt))
+    cap = classify.check_y5_neighbor_cap(g, classification)
+    violations.extend(("vertex", v, "y5_neighbor_cap", cnt)
+                      for v, cnt in cap.counterexamples)
     factor = 93 + 3 / a
     x = len(classification.x_vertices())
     y = len(classification.y_vertices())
@@ -356,7 +334,3 @@ def _check_crude(g, ledger, vertex_caps, face_caps) -> bool:
             if cnt > face_caps[rule] * faces[eid].degree:
                 return False
     return True
-
-
-def _rat(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"

@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 from .errors import (
     AsymmetricAdjacency,
     BadParameter,
+    ContainsTriangle,
     Disconnected,
     EmbeddingInconsistent,
     LoopOrMultiEdge,
@@ -81,9 +82,6 @@ class EmbeddedGraph:
     def degree(self, v: int) -> int:
         return len(self.rotations[v])
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.rotations[v]
-
     @cached_property
     def adjacency(self) -> tuple[frozenset[int], ...]:
         return tuple(frozenset(r) for r in self.rotations)
@@ -125,6 +123,11 @@ class EmbeddedGraph:
             raise UnverifiedEmbedding(
                 "operation needs a trusted embedding; parse with rotations "
                 "(planar_code / rotation_json) or force the flag")
+
+    def require_triangle_free(self) -> None:
+        self.require_verified()
+        if not self.is_triangle_free():
+            raise ContainsTriangle("graph contains a triangle")
 
     @cached_property
     def _faces(self) -> tuple[Face, ...]:

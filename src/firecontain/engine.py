@@ -42,11 +42,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 from .embedding import EmbeddedGraph
-from .errors import (
-    BudgetExceeded,
-    ProtectBurningVertex,
-    StrategyBudgetViolation,
-)
+from .errors import StrategyBudgetViolation
 
 
 @dataclass(frozen=True)
@@ -188,10 +184,11 @@ def advance_round(g: EmbeddedGraph, state: FireState,
     the adjacency of the newly burned vertices."""
     prot = frozenset(protections)
     if len(prot) > budget:
-        raise BudgetExceeded(f"{len(prot)} protections exceed budget {budget}")
+        raise StrategyBudgetViolation(
+            f"{len(prot)} protections exceed budget {budget}")
     clash = prot & (state.burning | state.protected)
     if clash:
-        raise ProtectBurningVertex(
+        raise StrategyBudgetViolation(
             f"cannot protect burning/protected vertices {sorted(clash)}")
     newly = _front(g, state) - prot
     burning = state.burning | newly
@@ -224,10 +221,7 @@ def _simulate(g: EmbeddedGraph, start: int, schedule: Schedule,
             return None
         budget = schedule.budget(round_no)
         prot = sorted(set(strategy(g, state, budget)))
-        try:
-            state = advance_round(g, state, prot, budget)
-        except (BudgetExceeded, ProtectBurningVertex) as exc:
-            raise StrategyBudgetViolation(str(exc)) from exc
+        state = advance_round(g, state, prot, budget)
         rounds.append(RoundRecord(tuple(prot),
                                   tuple(sorted(front.difference(prot)))))
         if len(state.burning) > burn_cap:
@@ -289,10 +283,6 @@ class SnResult:
     trace: Optional[SimTrace]
     optimal: bool
     nodes: int
-
-    @property
-    def timed_out(self) -> bool:
-        return not self.optimal
 
 
 class _NodeLimit(Exception):
@@ -498,6 +488,12 @@ def min_burned_containment(
 ) -> ContainmentResult:
     """Find a strategy whose total burned count stays within ``burn_cap``
     (contained within ``round_cap`` rounds if given), or prove none exists.
+
+    The probes run first, and the first that meets both caps is the
+    witness.  Otherwise, for ``burn_cap <= REGION_ENUM_MAX_CAP``, region
+    enumeration returns the plan of the least feasible burned region,
+    by size and then by sorted vertex list; for larger caps the DFS
+    returns the first plan within both caps in combination order.
     """
     if burn_cap < 1 or (round_cap is not None and round_cap < 1):
         raise ValueError("caps must be positive")

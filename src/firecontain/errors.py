@@ -53,37 +53,31 @@ class CannotTriangulate(FireContainError):
 
 # -- fire engine ------------------------------------------------------------
 
-class BudgetExceeded(FireContainError):
-    pass
-
-
-class ProtectBurningVertex(FireContainError):
-    """Attempt to protect a vertex that is already burning or protected."""
-
-
 class StrategyBudgetViolation(FireContainError):
+    """A round's protections exceed its budget, or name a vertex that is
+    already burning or protected."""
+
+
+# -- hypotheses and classification ------------------------------------------
+
+class HypothesisViolated(FireContainError):
+    """Instance does not satisfy the hypothesis of the requested bound.
+    Each subclass names one hypothesis."""
+
+
+class GirthTooSmall(HypothesisViolated):
     pass
 
 
-# -- classification ---------------------------------------------------------
-
-class GirthTooSmall(FireContainError):
-    pass
-
-
-class NotTriangulation(FireContainError):
+class NotTriangulation(HypothesisViolated):
     """Graph is not maximal planar (some face has degree != 3)."""
 
 
-class ContainsTriangle(FireContainError):
+class ContainsTriangle(HypothesisViolated):
     """Input contains a triangle where a triangle-free graph is required."""
 
 
-class NotTwoConnected(FireContainError):
-    pass
-
-
-class WrongDegree(FireContainError):
+class NotTwoConnected(HypothesisViolated):
     pass
 
 
@@ -101,7 +95,7 @@ class NotApplicable(FireContainError):
     """A plan's preconditions do not hold for this (graph, start)."""
 
 
-class CorruptPlan(EmbeddingInconsistent):
+class CorruptPlan(FireContainError):
     """A packaged plan fails its content hash or its guarantee replay."""
 
 
@@ -109,9 +103,3 @@ class CorruptPlan(EmbeddingInconsistent):
 
 class NoEscapePath(FireContainError):
     """A vertex requiring a charge-donor path has none (classification bug)."""
-
-
-# -- rates ------------------------------------------------------------------
-
-class HypothesisViolated(FireContainError):
-    """Instance does not satisfy the hypothesis of the requested bound."""

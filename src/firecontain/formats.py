@@ -3,11 +3,13 @@
 planar_code carries the rotation system verbatim and yields verified
 embeddings.  graph6 has no embedding information: it is accepted only with
 ``allow_unverified=True`` and the result is flagged so that face-dependent
-operations refuse it.
+operations refuse it.  ``rational`` is the "p/q" text of every exact
+rational in the JSON output.
 """
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from typing import Iterable
 
 from .embedding import EmbeddedGraph, build
@@ -20,6 +22,10 @@ from .errors import (
 
 PLANAR_CODE_HEADER = b">>planar_code<<"
 FORMATS = ("graph6", "planar_code", "rotation_json")
+
+
+def rational(x: Fraction) -> str:
+    return f"{x.numerator}/{x.denominator}"
 
 
 def parse(data: bytes, fmt: str, allow_unverified: bool = False

@@ -15,6 +15,7 @@ from . import classify, strategies
 from .embedding import EmbeddedGraph
 from .engine import Schedule, plan_strategy, run_simulation, sn_exact
 from .errors import HypothesisViolated
+from .formats import rational
 
 THEOREMS = ("thm2_girth5", "thm3_planar", "thm5_trianglefree", "k2n_upper")
 
@@ -50,9 +51,9 @@ class RateReport:
             "schedule": self.schedule.as_pair(),
             "mode": self.mode,
             "saved": {str(v): s for v, s in sorted(self.saved.items())},
-            "rate": f"{self.rate.numerator}/{self.rate.denominator}",
+            "rate": rational(self.rate),
             "threshold": None if self.threshold is None else
-                f"{self.threshold.numerator}/{self.threshold.denominator}",
+                rational(self.threshold),
             "verdict": self.verdict,
             "partial": self.partial,
             "notes": self.notes,
@@ -141,10 +142,9 @@ class Certificate:
             "theorem": self.theorem,
             "instance": self.instance,
             "n": self.n,
-            "rate": f"{self.rate.numerator}/{self.rate.denominator}",
+            "rate": rational(self.rate),
             "mode": self.mode,
-            "threshold":
-                f"{self.threshold.numerator}/{self.threshold.denominator}",
+            "threshold": rational(self.threshold),
             "passed": self.passed,
             "direction": self.direction,
             "notes": self.notes,
@@ -168,13 +168,10 @@ def certify_bound(g: EmbeddedGraph, theorem: str, instance: str = "",
     rate = trivial_rate_lower_bound(g, schedule)
     mode = "strategy_lower_bound"
     if theorem == "thm2_girth5":
-        if g.girth() < 5:
-            raise HypothesisViolated(f"girth {g.girth()} < 5")
         report = classify.classify_girth5(g)
         lb = surviving_rate_lower_bound(g, schedule, report,
                                         instance=instance)
-        notes["classification_rate"] = \
-            f"{lb.rate.numerator}/{lb.rate.denominator}"
+        notes["classification_rate"] = rational(lb.rate)
         rate = max(rate, lb.rate)
     elif theorem == "thm3_planar":
         g.require_verified()
@@ -182,13 +179,10 @@ def certify_bound(g: EmbeddedGraph, theorem: str, instance: str = "",
             report = classify.classify_planar(g)
             lb = surviving_rate_lower_bound(g, schedule, report,
                                             instance=instance)
-            notes["classification_rate"] = \
-                f"{lb.rate.numerator}/{lb.rate.denominator}"
+            notes["classification_rate"] = rational(lb.rate)
             rate = max(rate, lb.rate)
     else:  # thm5_trianglefree
-        g.require_verified()
-        if not g.is_triangle_free():
-            raise HypothesisViolated("graph contains a triangle")
+        g.require_triangle_free()
     if rate < threshold and g.n <= EXACT_RATE_MAX_N:
         exact = surviving_rate_exact(g, schedule, node_limit=node_limit,
                                      instance=instance)
@@ -219,16 +213,5 @@ def _certify_k2n_upper(g: EmbeddedGraph, instance: str,
         mode=exact.mode, threshold=threshold,
         passed=(not exact.partial) and exact.rate <= threshold,
         direction="upper",
-        notes={"exact_rate":
-               f"{exact.rate.numerator}/{exact.rate.denominator}"})
+        notes={"exact_rate": rational(exact.rate)})
 
-
-def rates_csv(certs: list[Certificate]) -> str:
-    lines = ["instance,n,mode,rate_num,rate_den,threshold,verdict"]
-    for c in certs:
-        lines.append(
-            f"{c.instance},{c.n},{c.mode},{c.rate.numerator},"
-            f"{c.rate.denominator},"
-            f"{c.threshold.numerator}/{c.threshold.denominator},"
-            f"{'pass' if c.passed else 'fail'}")
-    return "\n".join(lines) + "\n"

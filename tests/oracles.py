@@ -23,12 +23,7 @@ from firecontain.engine import (
     plan_strategy,
     run_simulation,
 )
-from firecontain.errors import (
-    BudgetExceeded,
-    NotApplicable,
-    ProtectBurningVertex,
-    StrategyBudgetViolation,
-)
+from firecontain.errors import NotApplicable, StrategyBudgetViolation
 from firecontain.families import HEX_DIRS, RECT_DIRS, cycle
 from firecontain.strategies import lattice_probes, load_plan, mapped_plan
 
@@ -45,10 +40,7 @@ def run_simulation_reference(g, start, schedule, strategy):
         round_no = state.round + 1
         budget = schedule.budget(round_no)
         prot = sorted(set(strategy(g, state, budget)))
-        try:
-            nxt = _advance_round_reference(g, state, prot, budget)
-        except (BudgetExceeded, ProtectBurningVertex) as exc:
-            raise StrategyBudgetViolation(str(exc)) from exc
+        nxt = _advance_round_reference(g, state, prot, budget)
         rounds.append(RoundRecord(tuple(prot),
                                   tuple(sorted(nxt.burning - state.burning))))
         state = nxt
@@ -59,10 +51,11 @@ def run_simulation_reference(g, start, schedule, strategy):
 def _advance_round_reference(g, state, protections, budget):
     prot = frozenset(protections)
     if len(prot) > budget:
-        raise BudgetExceeded(f"{len(prot)} protections exceed budget {budget}")
+        raise StrategyBudgetViolation(
+            f"{len(prot)} protections exceed budget {budget}")
     clash = prot & (state.burning | state.protected)
     if clash:
-        raise ProtectBurningVertex(
+        raise StrategyBudgetViolation(
             f"cannot protect burning/protected vertices {sorted(clash)}")
     protected = state.protected | prot
     newly = frontier(g, state.burning, protected)

@@ -22,7 +22,6 @@ from firecontain.errors import (
     NotTriangulation,
     RequiresExactClassification,
     WrongContext,
-    WrongDegree,
 )
 
 
@@ -76,7 +75,7 @@ def test_contiguous_elements_deduplicates():
 
 def test_config_wrong_degree():
     g = F.rect_grid(3, 3)
-    with pytest.raises(WrongDegree):
+    with pytest.raises(WrongContext):
         detect_local_configs(g, 4)  # centre has degree 4
 
 

@@ -86,6 +86,14 @@ def test_classify_hypothesis_error(capsys):
     assert json.loads(err)["error"] == "GirthTooSmall"
 
 
+def test_rate_hypothesis_error_names_the_hypothesis(capsys):
+    code, out, err = run(capsys, "rate", "--family", "cube",
+                         "--theorem", "thm2_girth5")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "GirthTooSmall",
+                               "message": "girth 4 < 5"}
+
+
 def test_discharge(capsys):
     code, out, _ = run(capsys, "discharge", "--family", "icosahedron",
                        "--context", "planar")
@@ -269,10 +277,14 @@ RENDER = ("render", "--family", "path:5", "--trace", "@trace.json",
      RENDER),
     ({"trace.json": '{"start": 0, "schedule": [1.5, 1], "rounds": [], '
                     '"saved": 4}'}, RENDER),
+    ({"taken": ""}, ("generate", "--family", "cube", "--out", "@taken")),
+    ({"trace.json": '{"start": 0, "schedule": [1, 1], "rounds": [], '
+                    '"saved": 4}', "imgs": ""}, RENDER),
 ], ids=["config_k_one", "config_malformed", "config_not_object",
         "config_missing", "input_missing", "trace_without_schedule",
         "trace_not_json", "trace_start_99", "trace_burned_x",
-        "trace_schedule_float"])
+        "trace_schedule_float", "generate_out_is_file",
+        "render_out_is_file"])
 def test_bad_files_exit_2_with_json(tmp_path, capsys, files, argv):
     for name, text in files.items():
         (tmp_path / name).write_text(text)

@@ -18,11 +18,7 @@ from firecontain.engine import (
     run_simulation,
     sn_exact,
 )
-from firecontain.errors import (
-    BudgetExceeded,
-    ProtectBurningVertex,
-    StrategyBudgetViolation,
-)
+from firecontain.errors import StrategyBudgetViolation
 from firecontain.strategies import lattice_probes, load_plan, mapped_plan
 from oracles import (
     connected_subsets_reference,
@@ -57,12 +53,12 @@ def test_round_semantics():
 def test_advance_round_guards():
     g = F.path(4)
     state = ignite(0)
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(StrategyBudgetViolation, match="exceed budget"):
         advance_round(g, state, [2, 3], budget=1)
-    with pytest.raises(ProtectBurningVertex):
+    with pytest.raises(StrategyBudgetViolation, match="cannot protect"):
         advance_round(g, state, [0], budget=1)
     state = advance_round(g, state, [2], budget=1)
-    with pytest.raises(ProtectBurningVertex):
+    with pytest.raises(StrategyBudgetViolation, match="cannot protect"):
         advance_round(g, state, [2], budget=1)
 
 

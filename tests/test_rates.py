@@ -4,7 +4,13 @@ import pytest
 
 from firecontain import classify, families as F, randgen, rates
 from firecontain.engine import Schedule, sn_exact
-from firecontain.errors import HypothesisViolated
+from firecontain.errors import (
+    ContainsTriangle,
+    GirthTooSmall,
+    HypothesisViolated,
+    NotTriangulation,
+    NotTwoConnected,
+)
 from firecontain.rates import (
     certify_bound,
     surviving_rate_exact,
@@ -140,6 +146,16 @@ def test_certify_thm5():
         certify_bound(F.platonic("octahedron"), "thm5_trianglefree")
 
 
+def test_hypothesis_errors_name_the_hypothesis():
+    with pytest.raises(GirthTooSmall, match="girth 4 < 5"):
+        certify_bound(F.platonic("cube"), "thm2_girth5")
+    with pytest.raises(ContainsTriangle):
+        certify_bound(F.platonic("octahedron"), "thm5_trianglefree")
+    for cls in (GirthTooSmall, ContainsTriangle, NotTriangulation,
+                NotTwoConnected):
+        assert issubclass(cls, HypothesisViolated)
+
+
 def test_certify_k2n_upper():
     for m in range(2, 7):
         g = F.complete_bipartite_2_m(m)
@@ -157,12 +173,6 @@ def test_certify_unknown_theorem():
 
 
 def test_rates_csv_and_json():
-    certs = [certify_bound(F.cycle(5), "thm2_girth5", instance="cycle:5")]
-    csv = rates.rates_csv(certs)
-    lines = csv.strip().split("\n")
-    assert lines[0].startswith("instance,")
-    assert lines[1].startswith("cycle:5,5,")
-    assert lines[1].endswith(",pass")
     import json
     rep = surviving_rate_exact(F.path(3), Schedule.constant(1))
     obj = json.loads(json.dumps(rep.to_json(), sort_keys=True))

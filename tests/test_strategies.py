@@ -11,7 +11,6 @@ from firecontain.engine import (
 )
 from firecontain.errors import (
     CorruptPlan,
-    EmbeddingInconsistent,
     NotApplicable,
 )
 from firecontain.strategies import (
@@ -43,7 +42,7 @@ def test_load_plan_hash_and_guard():
 def test_load_plan_rejects_corruption(monkeypatch):
     load_plan.cache_clear()
     monkeypatch.setitem(strategies.PLAN_HASHES, "hex_containment", "0" * 64)
-    with pytest.raises(EmbeddingInconsistent):
+    with pytest.raises(CorruptPlan, match="corrupted"):
         load_plan("hex_containment")
     load_plan.cache_clear()
 
