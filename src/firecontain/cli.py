@@ -81,20 +81,19 @@ def _emit(obj, args) -> None:
         print(text)
 
 
-def _parse_alpha(args, default: Fraction) -> Fraction:
-    """``--alpha``, a positive exact rational, or ``default``."""
-    alpha = _parse_fraction(args.alpha, "--alpha") if args.alpha else default
-    if alpha <= 0:
-        raise BadParameter(f"--alpha must be positive, got {alpha}")
-    return alpha
-
-
-def _parse_fraction(text: str, flag: str) -> Fraction:
+def _parse_positive(text: str | None, flag: str, default):
+    """``flag``'s value, a positive exact rational, or ``default`` when it
+    is not given."""
+    if not text:
+        return default
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise BadParameter(
             f"{flag} needs an exact rational, got {text!r}") from None
+    if value <= 0:
+        raise BadParameter(f"{flag} must be positive, got {value}")
+    return value
 
 
 def _read(path: str, flag: str, parse):
@@ -269,15 +268,15 @@ def _dispatch(args) -> int:
     if cmd == "discharge":
         g = _load_graph(args)
         if args.context == "planar":
-            alpha = _parse_alpha(args, discharge.PLANAR_ALPHA)
+            alpha = _parse_positive(args.alpha, "--alpha",
+                                    discharge.PLANAR_ALPHA)
             report = classify.classify_planar(g)
             ledger = discharge.transfer_planar(
                 g, discharge.init_planar_charges(g, alpha), report)
             audit = discharge.audit_planar(g, ledger, report)
         else:
-            alpha = _parse_alpha(args, discharge.TF_ALPHA)
-            beta = _parse_fraction(args.beta, "--beta") if args.beta \
-                else None
+            alpha = _parse_positive(args.alpha, "--alpha", discharge.TF_ALPHA)
+            beta = _parse_positive(args.beta, "--beta", None)
             report = classify.classify_triangle_free(g)
             ledger = discharge.transfer_tf(
                 g, discharge.init_tf_charges(g, alpha, beta), report)

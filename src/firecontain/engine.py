@@ -29,6 +29,18 @@ Exact search:
   keeps exact values and bounds apart.  Before a child is searched, it is
   bounded one round ahead: of its frontier, at most the next round's
   budget can be protected and the rest burns.
+* Both searches take their children from one generator, ``_blocks``.
+  The candidates start with the frontier, so a protection set is an
+  inside part on the frontier plus an outside part beyond it; the sets
+  with one inside part are contiguous in combination order and share the
+  child burning set, its neighbourhood and its frontier before the
+  outside part, which are computed once per block.
+* ``_contain_by_dfs`` enters a child only if it would pass the frontier
+  checks at the top of the child's call: its outside part must protect
+  enough of the block's frontier.  Every other child is dead and is
+  counted as a node without a call, and a block in which no outside part
+  can protect enough is counted in one step, so node counts and timeouts
+  are those of entering every child.
 * ``min_burned_containment`` tries heuristic probes first.  For small caps
   it then enumerates all candidate final burned regions and checks an
   earliest-deadline-first schedule for the surrounding wall, which is
@@ -352,16 +364,46 @@ def _candidates(layers: Sequence[int], rank: Sequence[int]) -> list[int]:
     return out
 
 
-def _children(burning: int, protected: int, front: int,
-              cands: Sequence[int], k: int):
-    """(protected vertices, child burning set, child protected set) for
-    each k-subset of ``cands``, in combination order: the protections come
-    first, then the fire takes the rest of the frontier."""
-    for combo in itertools.combinations(cands, k):
+def _blocks(masks: Sequence[int], burning: int, nbhd: int, protected: int,
+            front: int, cands: Sequence[int], k: int,
+            burn_cap: float = math.inf):
+    """The k-subsets of ``cands`` in frontier blocks, in combination order.
+
+    ``cands`` starts with the f frontier vertices, so a k-subset is an
+    *inside* part on the frontier plus r = k - |inside| vertices of
+    ``cands[f:]``.  The subsets with one inside part form a contiguous run
+    of the combination order, and they share the child burning set (the
+    fire takes the rest of the frontier) and so N(child burning).  Yields
+    (inside, child burning, its N, child protected set before the outside
+    part, base, r) per block, where ``base`` is the child frontier before
+    the outside protections; a block whose child burning set is larger
+    than ``burn_cap`` is skipped."""
+    f = front.bit_count()
+    last = len(cands) - k  # the next index must leave room for the rest
+
+    def grow(i0: int, inside: tuple[int, ...], bits: int):
+        r = k - len(inside)
+        if r:
+            for i in range(i0, min(f, last + len(inside) + 1)):
+                v = cands[i]
+                yield from grow(i + 1, inside + (v,), bits | 1 << v)
+        burn2 = burning | (front & ~bits)
+        if r <= len(cands) - f and burn2.bit_count() <= burn_cap:
+            nbhd2 = nbhd | _neighbourhood(masks, burn2 & ~burning)
+            prot2 = protected | bits
+            yield inside, burn2, nbhd2, prot2, nbhd2 & ~(burn2 | prot2), r
+
+    return grow(0, (), 0)
+
+
+def _combos(outside: Sequence[int], r: int):
+    """(vertices, bit mask) of each r-subset of ``outside``, in
+    combination order."""
+    for combo in itertools.combinations(outside, r):
         bits = 0
         for v in combo:
             bits |= 1 << v
-        yield combo, burning | (front & ~bits), protected | bits
+        yield combo, bits
 
 
 # -- exact maximum save count ----------------------------------------------
@@ -426,22 +468,26 @@ def sn_exact(g: EmbeddedGraph, start: int, schedule: Schedule,
         if hit is not None and (hit[1] is not None or hit[0] <= alpha):
             return hit
         cands = _candidates(layers, rank)
+        outside = cands[front.bit_count():]
         ahead_budget = schedule.budget(round_no + 1)
         best_val, best_plan, bound = alpha, None, 0
-        for combo, burn2, prot2 in _children(burning, protected, front,
-                                             cands, min(budget, len(cands))):
-            nbhd2 = nbhd | _neighbourhood(masks, burn2 & ~burning)
-            # next round protects at most ahead_budget of the child's
-            # frontier; the rest of it burns
-            spill = (nbhd2 & ~(burn2 | prot2)).bit_count() - ahead_budget
-            val = n - burn2.bit_count() - max(0, spill)
-            if val > best_val:
-                val, plan = solve(burn2, nbhd2, prot2, round_no + 1,
-                                  best_val)
+        for inside, burn2, nbhd2, prot_in, base, r in _blocks(
+                masks, burning, nbhd, protected, front, cands,
+                min(budget, len(cands))):
+            saved = n - burn2.bit_count()
+            for combo, bits in _combos(outside, r):
+                # next round protects at most ahead_budget of the child's
+                # frontier; the rest of it burns
+                spill = (base & ~bits).bit_count() - ahead_budget
+                val = saved - max(0, spill)
                 if val > best_val:
-                    best_val, best_plan = val, [list(combo)] + plan
-                    continue
-            bound = max(bound, val)
+                    val, plan = solve(burn2, nbhd2, prot_in | bits,
+                                      round_no + 1, best_val)
+                    if val > best_val:
+                        best_val = val
+                        best_plan = [list(inside + combo)] + plan
+                        continue
+                bound = max(bound, val)
         result = ((best_val, best_plan) if best_plan is not None
                   else (bound, None))
         memo[key] = result
@@ -626,20 +672,38 @@ def _contain_by_dfs(g, start, schedule, burn_cap, round_bound, node_limit
     subsets, on the bitset layer of ``sn_exact``.  A state that fails is
     remembered with its round, keyed like a ``sn_exact`` state.  The
     checks that need only the frontier run before the flood of the free
-    component."""
+    component.
+
+    Children come in ``_blocks``: a block shares the child burning set
+    B' and ``base``, the child frontier F' before the outside part of the
+    protection set.  A child passes the frontier checks iff F' is empty,
+    or it is not past the round bound and |F'| - budget' <= cap - |B'|;
+    so iff its outside part protects at least t vertices of ``base``,
+    t = |base| in the last round and |base| - budget' - (cap - |B'|)
+    before it.  A child below t is dead: it counts as a node and is not
+    entered, and a block whose outside part cannot reach t at all counts
+    its C(|outside|, r) children at once, stopping at ``node_limit + 1``
+    like the one-at-a-time count.  A child whose burning set passes the
+    cap is skipped uncounted, block by block."""
     masks = g.neighbour_masks
     rank = _search_rank(g)
     nodes = 0
     failed: set = set()
 
+    def count(dead: int) -> None:
+        """Count ``dead`` children as nodes, stopping where one-at-a-time
+        counting would."""
+        nonlocal nodes
+        nodes += dead
+        if nodes > node_limit:
+            nodes = node_limit + 1
+            raise _NodeLimit
+
     def rec(burning: int, nbhd: int, protected: int, round_no: int
             ) -> Optional[list[list[int]]]:
         """A protection plan from this state within both caps, or None;
         ``nbhd`` is N(burning)."""
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_limit:
-            raise _NodeLimit
+        count(1)
         blocked = burning | protected
         front = nbhd & ~blocked
         if not front:
@@ -660,14 +724,27 @@ def _contain_by_dfs(g, start, schedule, burn_cap, round_bound, node_limit
         # vertex beyond allowance + 1 can neither burn within the cap nor
         # ever need protection in a within-cap trajectory
         cands = _candidates(layers[:allowance + 1], rank)
-        for combo, burn2, prot2 in _children(burning, protected, front,
-                                             cands, min(budget, len(cands))):
-            if burn2.bit_count() > burn_cap:
+        outside = cands[front.bit_count():]
+        outside_mask = sum(1 << v for v in outside)
+        ahead_budget = schedule.budget(round_no + 1)
+        for inside, burn2, nbhd2, prot_in, base, r in _blocks(
+                masks, burning, nbhd, protected, front, cands,
+                min(budget, len(cands)), burn_cap):
+            # a child is live, and passes rec's frontier checks, iff its
+            # outside part protects at least t vertices of base
+            t = base.bit_count()
+            if round_no < round_bound:
+                t -= ahead_budget + burn_cap - burn2.bit_count()
+            if min(r, (base & outside_mask).bit_count()) < t:
+                count(math.comb(len(outside), r))
                 continue
-            plan = rec(burn2, nbhd | _neighbourhood(masks, burn2 & ~burning),
-                       prot2, round_no + 1)
-            if plan is not None:
-                return [list(combo)] + plan
+            for combo, bits in _combos(outside, r):
+                if (base & bits).bit_count() < t:
+                    count(1)
+                    continue
+                plan = rec(burn2, nbhd2, prot_in | bits, round_no + 1)
+                if plan is not None:
+                    return [list(inside + combo)] + plan
         failed.add(key)
         return None
 

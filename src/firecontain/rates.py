@@ -14,7 +14,7 @@ from typing import Optional
 from . import classify, strategies
 from .embedding import EmbeddedGraph
 from .engine import Schedule, plan_strategy, run_simulation, sn_exact
-from .errors import HypothesisViolated
+from .errors import BadParameter, HypothesisViolated
 from .formats import rational
 
 THEOREMS = ("thm2_girth5", "thm3_planar", "thm5_trianglefree", "k2n_upper")
@@ -157,7 +157,7 @@ def certify_bound(g: EmbeddedGraph, theorem: str, instance: str = "",
     available rate (exact when feasible, else the max of the trivial and
     the classification-based lower bounds)."""
     if theorem not in THEOREMS:
-        raise HypothesisViolated(f"unknown theorem {theorem!r}")
+        raise BadParameter(f"unknown theorem {theorem!r}")
     if theorem == "k2n_upper":
         return _certify_k2n_upper(g, instance, node_limit)
     schedule = SCHEDULES[theorem]

@@ -207,6 +207,10 @@ def test_rate_theorem_on_a_hex_tube(tmp_path, capsys, capped_tube):
      "--alpha", "abc"),
     ("discharge", "--family", "icosahedron", "--context", "planar",
      "--alpha", "0"),
+    ("discharge", "--family", "cube", "--context", "trianglefree",
+     "--beta=-1"),
+    ("discharge", "--family", "cube", "--context", "trianglefree",
+     "--beta", "0"),
     ("rate", "--family", "path:3", "--schedule", "4"),
     ("simulate", "--family", "path:3", "--start", "0", "--k", "-1"),
     ("solve", "--family", "path:3", "--start", "7", "--k", "1"),
@@ -219,7 +223,8 @@ def test_rate_theorem_on_a_hex_tube(tmp_path, capsys, capped_tube):
      "--node-limit", "0"),
     ("classify", "--family", "octahedron", "--context", "planar",
      "--node-limit", "-3"),
-], ids=["alpha_abc", "alpha_0", "schedule_4", "k_minus_1", "start_7",
+], ids=["alpha_abc", "alpha_0", "beta_minus_1", "beta_0", "schedule_4",
+        "k_minus_1", "start_7",
         "solve_node_limit_minus_5", "solve_node_limit_0",
         "rate_node_limit_minus_1", "rate_theorem_node_limit_0",
         "classify_node_limit_minus_3"])

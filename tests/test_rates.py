@@ -5,6 +5,7 @@ import pytest
 from firecontain import classify, families as F, randgen, rates
 from firecontain.engine import Schedule, sn_exact
 from firecontain.errors import (
+    BadParameter,
     ContainsTriangle,
     GirthTooSmall,
     HypothesisViolated,
@@ -168,7 +169,7 @@ def test_certify_k2n_upper():
 
 
 def test_certify_unknown_theorem():
-    with pytest.raises(HypothesisViolated):
+    with pytest.raises(BadParameter):
         certify_bound(F.path(3), "thm9")
 
 

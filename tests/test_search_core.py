@@ -175,3 +175,54 @@ def test_wall_schedule_skips_zero_budget_rounds():
                     engine.run_simulation(g, start, sched,
                                           engine.plan_strategy(plan))
     assert placed > 0
+
+
+# A child of the containment DFS that fails its frontier checks is counted
+# as a node without being entered, and a block of children that share
+# their frontier part and all fail is counted in one step.  The node
+# counts below are those of the one-child-at-a-time search.
+
+@pytest.mark.parametrize("start", (39, 25))
+def test_dead_children_do_not_cost_time(start):
+    # degree-9 starts: C(199, 4) protection sets at round 1, of which
+    # only the 126 inside the frontier keep the fire within the cap
+    g = randgen.random_triangulation(200, 1)
+    res = engine._contain_by_dfs(g, start, Schedule(4, 3), 6, 6, 50_000)
+    assert res.status == "infeasible" and res.nodes == 127
+
+
+def test_square_grid_cap18_plan_from_the_centre():
+    g = F.rect_grid(17, 17)
+    centre = 8 * 17 + 8
+    res = engine._contain_by_dfs(g, centre, Schedule.constant(2), 18, 18,
+                                 2_000_000)
+    assert res.status == "feasible" and res.nodes == 487_014
+    trace = engine.replay(g, res.trace)
+    assert trace == res.trace
+    assert trace.burned_count <= 18 and len(trace.rounds) <= 18
+
+
+def test_contain_by_dfs_timeouts_inside_counted_blocks():
+    # the full proof takes 19998 nodes; nodes 18..28, 498..692 and
+    # 1084..19998 are blocks of dead children counted in one step each
+    g = randgen.random_tf_maximal(200, 12)
+    for limit in (1, 2, 20, 500, 5000):
+        args = (g, 7, Schedule.constant(2), 18, 18, limit)
+        got = engine._contain_by_dfs(*args)
+        assert got.status == "timeout" and got.nodes == limit + 1, limit
+        assert got == contain_by_dfs_frozenset(*args), limit
+
+
+def test_contain_by_dfs_agrees_with_region_enumeration_at_cap6():
+    sched = Schedule(4, 3)
+    statuses = set()
+    for seed in range(1, 5):
+        g = randgen.random_triangulation(16, seed)
+        for v in range(g.n):
+            dfs = engine._contain_by_dfs(g, v, sched, 6, 6, 20_000).status
+            enum = engine._contain_by_region_enum(g, v, sched, 6, 6,
+                                                  20_000).status
+            if "timeout" not in (dfs, enum):
+                assert dfs == enum, (seed, v)
+                statuses.add(dfs)
+    assert statuses == {"feasible", "infeasible"}
