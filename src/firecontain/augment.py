@@ -10,7 +10,7 @@ vertex is placed the same way at each boundary vertex it joins.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from typing import Optional, Sequence
 
 from .embedding import EmbeddedGraph, Face, build
@@ -31,8 +31,11 @@ class DartBuilder:
     walked from it.  Inserting into a rotation keeps the relative order
     of the darts already there, so an insertion only removes the face it
     splits and places the faces replacing it by bisection on that key.
-    The cost of an insertion is the length of the split face plus the
-    degree of the vertices it touches, not the size of the graph.
+    ``keys[i]`` is the least dart of ``faces[i]``, kept in step with it:
+    an insertion into ``rotations[u]`` at position i moves up the keys
+    ``(u, j >= i)``, which form one run of ``keys``.  The cost of an
+    insertion is the length of the split face plus the degree of the
+    vertices it touches, not the size of the graph.
     """
 
     def __init__(self, g: EmbeddedGraph):
@@ -40,6 +43,7 @@ class DartBuilder:
         self.rotations = [list(r) for r in g.rotations]
         # index[u][v] is the position of v in rotations[u]
         self.index = [{v: i for i, v in enumerate(r)} for r in g.rotations]
+        self.keys = [(f[0], self.index[f[0]][f[1]]) for f in self.faces]
         self.adjacency = [set(r) for r in g.rotations]
         self.labels = g.labels
         self.positions = None if g.positions is None else list(g.positions)
@@ -100,25 +104,26 @@ class DartBuilder:
 
     # -- face bookkeeping ---------------------------------------------------
 
-    def _key(self, boundary: tuple[int, ...]) -> tuple[int, int]:
-        u = boundary[0]
-        return u, self.index[u][boundary[1]]
-
     def _locate(self, b: tuple[int, ...]) -> int:
         """Index in ``faces`` of the face walked by ``b``, which may start
-        at any of its darts."""
+        at any of its darts; a walk listed as in ``faces`` is found by its
+        first dart alone."""
         k = len(b)
         if k < 2:
             raise BadParameter(f"{b} is not a face of this graph")
         index = self.index
+        first = index[b[0]].get(b[1])
+        if first is not None:
+            at = bisect_left(self.keys, (b[0], first))
+            if at < len(self.faces) and self.faces[at] == b:
+                return at
         try:
-            s = min(range(k),
-                    key=lambda i: (b[i], index[b[i]][b[(i + 1) % k]]))
+            key, s = min(((b[i], index[b[i]][b[(i + 1) % k]]), i)
+                         for i in range(k))
         except KeyError:
             raise BadParameter(f"{b} is not a face of this graph") from None
-        canon = b[s:] + b[:s]
-        at = bisect_left(self.faces, self._key(canon), key=self._key)
-        if at == len(self.faces) or self.faces[at] != canon:
+        at = bisect_left(self.keys, key)
+        if at == len(self.faces) or self.faces[at] != b[s:] + b[:s]:
             raise BadParameter(f"{b} is not a face of this graph")
         return at
 
@@ -129,29 +134,35 @@ class DartBuilder:
         for p in range(i, len(rot)):
             index[rot[p]] = p
         self.adjacency[u].add(v)
+        keys = self.keys
+        for p in range(bisect_left(keys, (u, i)), bisect_left(keys, (u + 1,))):
+            keys[p] = (u, keys[p][1] + 1)
 
     def _replace_face(self, at: int, new_darts: list[tuple[int, int]]
                       ) -> None:
         """Drop ``faces[at]``, which the insertion split, and trace the
-        faces through ``new_darts``: together they cover its darts."""
+        faces through ``new_darts``: together they cover its darts.  The
+        new edges cut the split face, an open disk, into one face per new
+        dart, so each walk ends where it started."""
         del self.faces[at]
+        del self.keys[at]
         rotations, index = self.rotations, self.index
-        seen: set[tuple[int, int]] = set()
-        for dart in new_darts:
-            if dart in seen:
-                continue
+        for start in new_darts:
             walk = []
             best = None
-            u, v = dart
-            while (u, v) not in seen:
-                seen.add((u, v))
+            u, v = start
+            while True:
                 key = (u, index[u][v])
                 if best is None or key < best:
                     best, s = key, len(walk)
                 walk.append(u)
                 rot = rotations[v]
                 u, v = v, rot[(index[v][u] + 1) % len(rot)]
-            insort(self.faces, tuple(walk[s:] + walk[:s]), key=self._key)
+                if (u, v) == start:
+                    break
+            i = bisect_left(self.keys, best)
+            self.keys.insert(i, best)
+            self.faces.insert(i, tuple(walk[s:] + walk[:s]))
 
 
 def insert_chord(g: EmbeddedGraph, face: Face, i: int, j: int

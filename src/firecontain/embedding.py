@@ -233,6 +233,10 @@ class EmbeddedGraph:
         return best
 
     def is_triangle_free(self) -> bool:
+        return self._triangle_free
+
+    @cached_property
+    def _triangle_free(self) -> bool:
         adj = self.adjacency
         return not any(adj[u] & adj[v] for u, v in self.edges())
 

@@ -147,6 +147,7 @@ def test_builder_faces_track_traced_faces():
                 b.insert_vertex(face, attach)
             g = b.freeze()
             assert b.faces == [f.boundary for f in g.faces()]
+            assert b.keys == [(f[0], b.index[f[0]][f[1]]) for f in b.faces]
 
 
 def test_builder_rejects_bad_insertions():
@@ -163,3 +164,28 @@ def test_builder_rejects_bad_insertions():
     # nothing above changed the builder
     assert b.freeze() == g
     assert b.faces == [f.boundary for f in g.faces()]
+
+
+def test_builder_locates_faces_from_any_dart():
+    g = randgen.random_tf_maximal(30, 4)
+    b = DartBuilder(g)
+    for at, face in enumerate(b.faces):
+        for s in range(len(face)):
+            assert b._locate(face[s:] + face[:s]) == at
+
+
+def test_builder_locate_rejects_walks_that_are_not_faces():
+    g = F.rect_grid(3, 3)
+    b = DartBuilder(g)
+    faces, keys = list(b.faces), list(b.keys)
+    face = b.faces[0]
+    # walks that begin with a dart of the graph but are not faces: the
+    # first two begin with the face's own least dart, the last two use
+    # only darts of the graph
+    for walk in (face[:2] + face[3:], face[:3], face + face, face[::-1]):
+        with pytest.raises(BadParameter):
+            b._locate(walk)
+        with pytest.raises(BadParameter):
+            b.insert_vertex(walk, [0])
+    assert b.faces == faces and b.keys == keys
+    assert b.freeze() == g

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from firecontain import classify, discharge, families as F, randgen
 from firecontain.augment import augment_maximal_planar, insert_vertex_in_face
@@ -9,6 +10,8 @@ from firecontain.discharge import (
     PLANAR_ALPHA,
     TF_ALPHA,
     TF_BETA,
+    ChargeLedger,
+    TransferRecord,
     audit_planar,
     audit_tf,
     init_planar_charges,
@@ -93,6 +96,40 @@ def test_random_suites_conserve():
         assert init_planar_charges(g).total() == -12
         g = randgen.random_tf_maximal(25, seed)
         assert init_tf_charges(g).total() == -8
+
+
+def test_initial_totals_and_their_text():
+    # integral initial charges: the totals, and the text the audits print,
+    # are those of the all-Fraction ledgers
+    for seed in range(3):
+        g = randgen.random_triangulation(25, seed)
+        total = init_planar_charges(g).total()
+        assert total == Fraction(-12) and str(total) == "-12"
+        g = randgen.random_tf_maximal(25, seed)
+        total = init_tf_charges(g).total()
+        assert total == Fraction(-8) and str(total) == "-8"
+    g = F.rect_grid(3, 3)
+    led = init_tf_charges(g)
+    assert [str(c) for c in led.vertex_charge.values()] == \
+        [str(Fraction(g.degree(v) - 4)) for v in range(g.n)]
+
+
+CHARGES = st.one_of(
+    st.integers(-50, 50),
+    st.builds(Fraction, st.integers(-50, 50),
+              st.sampled_from([1, 2, 3, 4, 6, 872, 360720])))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(CHARGES, max_size=12), st.lists(CHARGES, max_size=12))
+# fractional parts that cancel to an integer, with ints mixed in
+@example([Fraction(1, 3), Fraction(-5, 6), 3], [Fraction(1, 2), -1])
+def test_total_is_the_exact_sum(vertex, face):
+    led = ChargeLedger("trianglefree_nu", dict(enumerate(vertex)),
+                       dict(enumerate(face)), TF_ALPHA, TF_BETA)
+    total = led.total()
+    assert total == sum(vertex + face, Fraction(0))
+    assert type(total) is Fraction
 
 
 # -- planar transfer rules --------------------------------------------------
@@ -270,6 +307,22 @@ def test_audit_detects_bound_violation():
     audit = audit_planar(g, led, rep)
     assert audit.bound_violations
     assert not audit.ok
+
+
+def test_audit_tf_x_vertex_on_the_bound_is_not_strict():
+    g = F.platonic("cube")
+    rep = classify.classify_triangle_free(g)
+    assert rep.side(0) == "X"
+    led = init_tf_charges(g)
+    assert audit_tf(g, led, rep).strict_x_bound
+    # vertex 0 (charge -1) gives 1 + beta and sits at exactly -2 - beta
+    led = led.with_transfers([TransferRecord(
+        "S1", ("vertex", 0), ("face", 0), 1 + TF_BETA)])
+    assert led.vertex_charge[0] == -2 - TF_BETA
+    audit = audit_tf(g, led, rep)
+    assert audit.bound_violations == []
+    assert audit.strict_x_bound is False
+    assert audit.to_json()["strict_x_bound"] is False
 
 
 def test_audit_json():
