@@ -63,7 +63,7 @@ class DartBuilder:
         b = tuple(face)
         at = self._locate(b)
         new = self.n
-        attached = [b[p] for p in attach_positions]
+        attached = _on_walk(b, attach_positions)
         if not attached:
             raise Disconnected(f"new vertex {new} has no neighbour")
         if len(set(attached)) != len(attached):
@@ -87,7 +87,7 @@ class DartBuilder:
         """Add the chord between boundary positions i and j of ``face``."""
         b = tuple(face)
         at = self._locate(b)
-        u, v = b[i], b[j]
+        u, v = _on_walk(b, (i, j))
         if u == v:
             raise LoopOrMultiEdge(f"loop at vertex {u}")
         if v in self.adjacency[u]:
@@ -109,14 +109,16 @@ class DartBuilder:
         at any of its darts; a walk listed as in ``faces`` is found by its
         first dart alone."""
         k = len(b)
-        if k < 2:
-            raise BadParameter(f"{b} is not a face of this graph")
         index = self.index
+        if k < 2 or not 0 <= b[0] < len(index):
+            raise BadParameter(f"{b} is not a face of this graph")
         first = index[b[0]].get(b[1])
         if first is not None:
             at = bisect_left(self.keys, (b[0], first))
             if at < len(self.faces) and self.faces[at] == b:
                 return at
+        if min(b) < 0 or max(b) >= len(index):
+            raise BadParameter(f"{b} is not a face of this graph")
         try:
             key, s = min(((b[i], index[b[i]][b[(i + 1) % k]]), i)
                          for i in range(k))
@@ -163,6 +165,14 @@ class DartBuilder:
             i = bisect_left(self.keys, best)
             self.keys.insert(i, best)
             self.faces.insert(i, tuple(walk[s:] + walk[:s]))
+
+
+def _on_walk(b: tuple[int, ...], positions: Sequence[int]) -> list[int]:
+    """The vertices at ``positions`` of the walk ``b``."""
+    if positions and not 0 <= min(positions) <= max(positions) < len(b):
+        raise BadParameter(f"positions {list(positions)} are not all on "
+                           f"the walk {b}")
+    return [b[p] for p in positions]
 
 
 def insert_chord(g: EmbeddedGraph, face: Face, i: int, j: int

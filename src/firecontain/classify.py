@@ -31,6 +31,11 @@ SCHEDULES = {
     "planar_thm3": Schedule(4, 3),
     "trianglefree_thm5": Schedule.constant(2),
 }
+# exact context -> (lattice of its grid test, burn cap)
+CLASSIFY = {
+    "planar_thm3": ("hex", 6),
+    "trianglefree_thm5": ("rect", 18),
+}
 
 FOUR_OPPOSITE = "four_opposite"
 FOUR_ADJACENT = "four_adjacent"
@@ -377,35 +382,9 @@ def classify_planar(g: EmbeddedGraph, mode: str = "exact",
                     node_limit: int = 2_000_000) -> ClassificationReport:
     """Schedule-(4,3) classes on a maximal planar graph, burn cap 6."""
     require_triangulation(g)
-    sched = SCHEDULES["planar_thm3"]
-    labels: dict[int, str] = {}
-    evidence: dict[int, dict] = {}
-    for v in range(g.n):
-        d = g.degree(v)
-        if d >= 7:
-            labels[v] = f"Y_{d}"
-            evidence[v] = {"rule": "degree_ge_7"}
-            continue
-        if d <= 4:
-            labels[v] = f"X_{d}"
-            evidence[v] = {"rule": "degree_le_4"}
-            continue
-        if d == 5:
-            low = next((u for u in sorted(g.adjacency[v])
-                        if g.degree(u) <= 6), None)
-            if low is not None:
-                labels[v] = "X_5"
-                evidence[v] = {"rule": "degree5_low_neighbor", "vertex": low}
-                continue
-        if d == 6:
-            ok, esc = grid_neighborhood_test(g, v, "hex")
-            if ok:
-                labels[v] = "X_6"
-                evidence[v] = {"rule": "hex_neighborhood"}
-                continue
-        labels[v], evidence[v] = _resolve_exact(
-            g, v, d, mode, sched, burn_cap=6, node_limit=node_limit)
-    return ClassificationReport("planar_thm3", mode, labels, evidence)
+    return _classify(g, "planar_thm3", mode, node_limit, lambda v: next(
+        ({"rule": "degree5_low_neighbor", "vertex": u}
+         for u in sorted(g.adjacency[v]) if g.degree(u) <= 6), None))
 
 
 def classify_triangle_free(g: EmbeddedGraph, mode: str = "exact",
@@ -413,36 +392,42 @@ def classify_triangle_free(g: EmbeddedGraph, mode: str = "exact",
                            ) -> ClassificationReport:
     """Two-firefighter classes on a triangle-free planar graph, cap 18."""
     g.require_triangle_free()
-    sched = SCHEDULES["trianglefree_thm5"]
+    return _classify(g, "trianglefree_thm5", mode, node_limit, lambda v: next(
+        ({"rule": f"config_{c.config}", "witness": c.witness}
+         for c in detect_local_configs(g, v)), None))
+
+
+def _classify(g, context, mode, node_limit, local_rule
+              ) -> ClassificationReport:
+    """The rule pass of an exact context, D the degree of its lattice: a
+    vertex of degree above D is Y and below D - 1 is X; at D - 1 it is X
+    on the evidence ``local_rule(v)`` gives, if any, and at D if it
+    passes the grid test.  Every other vertex goes to the containment
+    search within the context's burn cap."""
+    lattice, burn_cap = CLASSIFY[context]
+    top = len(GRID_LATTICES[lattice][0])
     labels: dict[int, str] = {}
     evidence: dict[int, dict] = {}
     for v in range(g.n):
         d = g.degree(v)
-        if d >= 5:
+        if d > top:
             labels[v] = f"Y_{d}"
-            evidence[v] = {"rule": "degree_ge_5"}
+            evidence[v] = {"rule": f"degree_ge_{top + 1}"}
             continue
-        if d <= 2:
-            labels[v] = f"X_{d}"
-            evidence[v] = {"rule": "degree_le_2"}
-            continue
-        if d == 3:
-            configs = detect_local_configs(g, v)
-            if configs:
-                c = configs[0]
-                labels[v] = "X_3"
-                evidence[v] = {"rule": f"config_{c.config}",
-                               "witness": c.witness}
-                continue
-        if d == 4:
-            ok, esc = grid_neighborhood_test(g, v, "rect")
-            if ok:
-                labels[v] = "X_4"
-                evidence[v] = {"rule": "rect_neighborhood"}
-                continue
-        labels[v], evidence[v] = _resolve_exact(
-            g, v, d, mode, sched, burn_cap=18, node_limit=node_limit)
-    return ClassificationReport("trianglefree_thm5", mode, labels, evidence)
+        if d < top - 1:
+            ev = {"rule": f"degree_le_{top - 2}"}
+        elif d == top - 1:
+            ev = local_rule(v)
+        elif grid_neighborhood_test(g, v, lattice)[0]:
+            ev = {"rule": f"{lattice}_neighborhood"}
+        else:
+            ev = None
+        if ev is None:
+            labels[v], evidence[v] = _resolve_exact(
+                g, v, d, mode, SCHEDULES[context], burn_cap, node_limit)
+        else:
+            labels[v], evidence[v] = f"X_{d}", ev
+    return ClassificationReport(context, mode, labels, evidence)
 
 
 def _resolve_exact(g, v, d, mode, sched, burn_cap, node_limit):

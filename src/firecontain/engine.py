@@ -13,16 +13,15 @@ probes of ``min_burned_containment`` run on the same loop but stop as soon
 as the burned count passes the cap or a round would begin past the round
 bound: both counts only grow, so such a probe could never be accepted.
 
-Exact search:
+Exact search: all three searches hold vertex sets as ``int`` masks on
+one bitset layer, with the neighbour masks cached on the graph.
 
 * ``sn_exact`` maximises the saved count and ``_contain_by_dfs`` decides
   containment within a burned-vertex cap.  Both are memoized depth-first
-  searches over per-round protection subsets on one bitset layer: the
-  burning and protected sets are ``int`` masks, the neighbour masks are
-  cached on the graph, N(burning) is carried from node to child, and one
-  layered flood of the free component yields the candidates, in the order
-  (distance, -degree, vertex), and the protected vertices that matter to
-  the state's key.
+  searches over per-round protection subsets: N(burning) is carried from
+  node to child, and one layered flood of the free component yields the
+  candidates, in the order (distance, -degree, vertex), and the protected
+  vertices that matter to the state's key.
 * ``sn_exact`` is a branch-and-bound: each state is searched against a
   threshold, the best save count already in hand, and is solved exactly
   only when it beats it; otherwise it yields an upper bound, and the memo
@@ -42,9 +41,12 @@ Exact search:
   can protect enough is counted in one step, so node counts and timeouts
   are those of entering every child.
 * ``min_burned_containment`` tries heuristic probes first.  For small caps
-  it then enumerates all candidate final burned regions and checks an
-  earliest-deadline-first schedule for the surrounding wall, which is
-  exact and proves infeasibility; for large caps it runs the DFS.
+  it then enumerates all candidate final burned regions, each a mask
+  grown from an extension mask, and checks an earliest-deadline-first
+  schedule for the surrounding wall, which is exact and proves
+  infeasibility: the free-burn layers of the region give the walls'
+  deadlines, and the walls are placed in one pass.  For large caps it
+  runs the DFS.
 """
 from __future__ import annotations
 
@@ -303,11 +305,11 @@ class _NodeLimit(Exception):
 
 # -- bitset search layer ------------------------------------------------------
 #
-# Both exact searches hold the burning set B and the protected set P as int
-# bit masks (bit v for vertex v) and carry N(B), the union of the neighbour
-# masks of B, from each node to its children.  The frontier is then
-# N(B) & ~(B | P), and a child ORs in the masks of its newly burned
-# vertices only.
+# The exact searches hold vertex sets as int bit masks (bit v for vertex
+# v).  The two protection-subset searches carry N(B), the union of the
+# neighbour masks of the burning set B, from each node to its children.
+# The frontier is then N(B) & ~(B | P), P the protected set, and a child
+# ORs in the masks of its newly burned vertices only.
 
 
 def _vertices(x: int) -> list[int]:
@@ -577,7 +579,7 @@ def _contain_by_region_enum(g, start, schedule, burn_cap, round_bound,
     one node against ``node_limit``: next to a high-degree hub there are
     millions of regions.
     """
-    best = None  # (size, sorted B, plan, rounds)
+    best = None  # ((size, sorted B), plan)
     nodes = 0
     for region in _connected_regions(g, start, burn_cap):
         nodes += 1
@@ -586,7 +588,7 @@ def _contain_by_region_enum(g, start, schedule, burn_cap, round_bound,
         plan = _wall_schedule(g, start, schedule, region, round_bound)
         if plan is None:
             continue
-        key = (len(region), sorted(region))
+        key = (region.bit_count(), _vertices(region))
         if best is None or key < best[0]:
             best = (key, plan)
     if best is None:
@@ -600,66 +602,60 @@ def _contain_by_region_enum(g, start, schedule, burn_cap, round_bound,
 
 def _connected_regions(g: EmbeddedGraph, start: int, max_size: int):
     """All connected vertex sets containing ``start`` of size <= max_size,
-    each yielded exactly once, lazily."""
+    as bit masks, each yielded exactly once, lazily.  A region grows by
+    the lowest vertex of its extension ``ext``; the sets that contain it
+    are enumerated first, then it is banned from the rest."""
+    masks = g.neighbour_masks
 
-    def rec(region: set[int], ext: list[int], banned: set[int]):
-        yield frozenset(region)
-        if len(region) == max_size:
+    def rec(region: int, ext: int, banned: int):
+        yield region
+        if region.bit_count() == max_size:
             return
-        local_ban = set(banned)
-        for i, v in enumerate(ext):
-            grown = [w for w in g.adjacency[v]
-                     if w not in region and w not in local_ban
-                     and w not in ext[i + 1:] and w != start
-                     and w not in ext[:i + 1]]
-            region.add(v)
-            yield from rec(region, ext[i + 1:] + grown, local_ban)
-            region.discard(v)
-            local_ban.add(v)
+        while ext:
+            v = ext & -ext
+            ext ^= v
+            grown = masks[v.bit_length() - 1] & ~(region | banned | ext)
+            yield from rec(region | v, ext | grown, banned)
+            banned |= v
 
-    return rec({start}, sorted(g.adjacency[start]), set())
+    return rec(1 << start, masks[start], 0)
 
 
 def _wall_schedule(g, start, schedule, region, round_bound
                    ) -> Optional[list[list[int]]]:
-    """Earliest-fit protection plan for the wall around ``region``, or None
-    if some wall vertex cannot be protected before the fire arrives."""
-    # free-burn distances inside the region
-    dist = {start: 0}
-    queue = [start]
-    for u in queue:
-        for w in g.adjacency[u]:
-            if w in region and w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    if len(dist) != len(region):
-        return None  # not connected (defensive; enumeration is connected)
-    walls: dict[int, int] = {}
-    for u in region:
-        for w in g.adjacency[u]:
-            if w not in region:
-                d = dist[u] + 1
-                if w not in walls or d < walls[w]:
-                    walls[w] = d
-    # every wall is due by the last deadline, so more walls than the
-    # protections available by then cannot all be placed
-    if len(walls) > schedule.cumulative(max(walls.values(), default=0)):
-        return None
+    """Earliest-deadline-first protection plan for the wall around the
+    region mask ``region``, or None if some wall vertex cannot be
+    protected before the fire arrives.
+
+    The fire burns freely inside the region, one layer per round, and the
+    walls first reached from layer d are due in round d + 1.  The schedule
+    succeeds iff, for every deadline, the walls due by then are no more
+    than the protections available by then; this is checked layer by
+    layer, and the walls come in (deadline, id) order, so each goes into
+    the plan's last round or, once that is full, the next one with a
+    slot."""
+    masks = g.neighbour_masks
     plan: list[list[int]] = []
-    for w, deadline in sorted(walls.items(), key=lambda kv: (kv[1], kv[0])):
-        # the first round by the deadline with a free slot; a round whose
-        # budget is 0 has none
-        round_no = 1
-        while round_no <= deadline and schedule.budget(round_no) <= (
-                len(plan[round_no - 1]) if round_no <= len(plan) else 0):
-            round_no += 1
-        if round_no > deadline:
+    seen = layer = 1 << start
+    walled = depth = 0
+    while layer:
+        depth += 1
+        nbhd = _neighbourhood(masks, layer)
+        due = nbhd & ~(region | walled)
+        walled |= due
+        if walled.bit_count() > schedule.cumulative(depth):
             return None
-        while len(plan) < round_no:
-            plan.append([])
-        plan[round_no - 1].append(w)
-    last_spread = max(dist.values(), default=0)
-    if max(len(plan), last_spread) > round_bound:
+        for w in _vertices(due):
+            # the check above leaves w a slot by round depth
+            while not plan or len(plan[-1]) == schedule.budget(len(plan)):
+                plan.append([])
+            plan[-1].append(w)
+        layer = nbhd & region & ~seen
+        seen |= layer
+    if seen != region:
+        return None  # not connected (defensive; enumeration is connected)
+    # the last layer burns in round depth - 1
+    if max(len(plan), depth - 1) > round_bound:
         return None
     return plan
 

@@ -8,6 +8,7 @@ plane, which is less error-prone than hand-written tables.
 """
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -41,25 +42,22 @@ def generate(spec: FamilySpec) -> EmbeddedGraph:
 
 
 def parse_family(text: str) -> FamilySpec:
-    """Parse CLI shorthand like ``star:5``, ``rect_grid:4,5``, ``cube``."""
-    name, _, raw = text.partition(":")
-    args = [a for a in raw.split(",") if a]
-    if name in PLATONIC_NAMES:
+    """Parse CLI shorthand like ``star:5``, ``rect_grid:4,5``, ``cube``: a
+    family name and one integer per parameter of its generator, or the
+    name of a platonic solid alone."""
+    name, colon, raw = text.partition(":")
+    args = raw.split(",") if colon else []
+    if name in PLATONIC_NAMES and not args:
         return FamilySpec("platonic", {"which": name})
-    if name == "hex_patch":
-        return FamilySpec("hex_patch", {"radius": int(args[0])})
-    if name == "rect_grid":
-        return FamilySpec("rect_grid",
-                          {"width": int(args[0]), "height": int(args[1])})
-    if name == "star":
-        return FamilySpec("star", {"n": int(args[0])})
-    if name == "complete_bipartite_2_m":
-        return FamilySpec("complete_bipartite_2_m", {"m": int(args[0])})
-    if name == "cycle":
-        return FamilySpec("cycle", {"n": int(args[0])})
-    if name == "path":
-        return FamilySpec("path", {"n": int(args[0])})
-    raise BadParameter(f"cannot parse family spec {text!r}")
+    if name not in _GENERATORS or name == "platonic":
+        raise BadParameter(f"cannot parse family spec {text!r}")
+    params = inspect.signature(_GENERATORS[name]).parameters
+    try:  # a non-integer or a wrong count of arguments
+        values = dict(zip(params, map(int, args), strict=True))
+    except ValueError:
+        raise BadParameter(f"family spec {text!r} should be "
+                           f"{name}:{','.join(params)}, integers") from None
+    return FamilySpec(name, values)
 
 
 # -- simple families --------------------------------------------------------

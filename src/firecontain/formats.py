@@ -183,6 +183,10 @@ def parse_rotation_json(data: bytes) -> list[EmbeddedGraph]:
             raise MalformedHeader("rotation_json needs {'n':..,'rotations':..}")
         n = rec["n"]
         rot = rec["rotations"]
+        if type(n) is not int or not isinstance(rot, list) or not all(
+                isinstance(r, list) for r in rot):
+            raise MalformedHeader("rotation_json needs an int 'n' and "
+                                  "'rotations', a list of lists")
         if len(rot) != n:
             raise TruncatedRecord(f"expected {n} rotations, got {len(rot)}")
         for r in rot:

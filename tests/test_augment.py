@@ -189,3 +189,21 @@ def test_builder_locate_rejects_walks_that_are_not_faces():
             b.insert_vertex(walk, [0])
     assert b.faces == faces and b.keys == keys
     assert b.freeze() == g
+
+
+def test_builder_rejects_vertices_and_positions_off_the_graph():
+    g = F.cycle(4)
+    b = DartBuilder(g)
+    faces, keys = list(b.faces), list(b.keys)
+    face = b.faces[0]
+    with pytest.raises(BadParameter):
+        b._locate((9, 0, 1))
+    with pytest.raises(BadParameter):
+        b._locate((-1, 0, 1))
+    with pytest.raises(BadParameter):
+        b.insert_chord(face, 0, 9)
+    with pytest.raises(BadParameter):
+        b.insert_vertex(face, [7])
+    # nothing above changed the builder
+    assert b.faces == faces and b.keys == keys
+    assert b.freeze() == g

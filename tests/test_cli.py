@@ -223,11 +223,20 @@ def test_rate_theorem_on_a_hex_tube(tmp_path, capsys, capped_tube):
      "--node-limit", "0"),
     ("classify", "--family", "octahedron", "--context", "planar",
      "--node-limit", "-3"),
+    ("generate", "--family", "star"),
+    ("generate", "--family", "star:x"),
+    ("generate", "--family", "rect_grid:4"),
+    ("generate", "--family", "complete_bipartite_2_m"),
+    ("generate", "--family", "path:"),
+    ("generate", "--family", "star:3,4"),
+    ("generate", "--family", "cube:1"),
 ], ids=["alpha_abc", "alpha_0", "beta_minus_1", "beta_0", "schedule_4",
         "k_minus_1", "start_7",
         "solve_node_limit_minus_5", "solve_node_limit_0",
         "rate_node_limit_minus_1", "rate_theorem_node_limit_0",
-        "classify_node_limit_minus_3"])
+        "classify_node_limit_minus_3", "family_star_bare", "family_star_x",
+        "family_rect_grid_one_side", "family_k2m_bare", "family_path_empty",
+        "family_star_two_args", "family_cube_with_arg"])
 def test_bad_arguments_exit_2_with_json(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""

@@ -138,7 +138,8 @@ def test_sn_timeout_is_lower_bound():
 def test_connected_region_enumeration():
     for seed in range(8):
         g = random_connected_graph(7, 0.4, seed + 50)
-        got = set(engine._connected_regions(g, 0, 4))
+        got = {frozenset(engine._vertices(region))
+               for region in engine._connected_regions(g, 0, 4)}
         want = connected_subsets_reference(g, 0, 4)
         assert got == want
         assert len(list(engine._connected_regions(g, 0, 4))) == len(want)

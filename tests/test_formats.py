@@ -81,6 +81,16 @@ def test_rotation_json_errors():
         formats.parse_rotation_json(b'{"n": 2, "rotations": [[5], [0]]}')
 
 
+@pytest.mark.parametrize("data", [
+    b'{"n": 2, "rotations": 5}',
+    b'{"n": 2, "rotations": [5, [0]]}',
+    b'{"n": "2", "rotations": [[1], [0]]}',
+])
+def test_rotation_json_rotations_must_be_lists(data):
+    with pytest.raises(MalformedHeader):
+        formats.parse_rotation_json(data)
+
+
 def test_parse_unknown_format():
     with pytest.raises(MalformedHeader):
         formats.parse(b"", "dot")

@@ -1,14 +1,15 @@
 """Golden outputs: sha256 digests of generated graphs, builder face lists,
-triangle-free classification/audit/certificate JSON and CLI output on
-fixed seeds.  A change to construction, classification or discharging
+triangle-free classification/audit/certificate JSON, region-enumeration
+containment results and CLI output on fixed seeds.  A change to construction, classification or discharging
 that is meant to keep every output byte-identical must keep these."""
 import hashlib
 import json
 
 import pytest
 
-from firecontain import augment, classify, cli, discharge, formats, rates
-from firecontain import randgen
+from firecontain import augment, classify, cli, discharge, engine, formats
+from firecontain import families, rates, randgen
+from firecontain.engine import Schedule
 
 GRAPH_DIGESTS = {
     ("random_tf_maximal", 200, 11):
@@ -72,6 +73,24 @@ TF_OUTPUT_DIGESTS = {
         "dc59b5c333eb41ca0c059efd028c05e3a367059f940dc18a2b986a5e4706e8a3",
     ),
 }
+REGION_ENUM_DIGESTS = {
+    ("random_triangulation", 1):
+        "2b29daff29f586e9668141c768fd0440748f6712122843e8e773d2a3cc266dd2",
+    ("random_triangulation", 2):
+        "78ab1e2fd57e555ca51cb8f9c92eeea1104ea3f36b9081a226897e660704cf25",
+    ("random_triangulation", 3):
+        "abc7c828ee96c1224300ab1b4d181909a16610933ef5f0df57b6380dee893844",
+    ("random_triangulation", 4):
+        "2c7e8c7740825d5b896fd986a7f7e97ec89c968f1edab67fd4cca42d8efb5d10",
+    ("random_tf_maximal", 1):
+        "5c91581a5b216fa45bb4f0f5e94fd945cc9522019c294428c22b0fc969bfb409",
+    ("random_tf_maximal", 2):
+        "2d444c82e302909a7dbe22d67d2c59be75c7e691f7d6fa9cd1761bf3cf94cc8d",
+    ("rect_grid", 4):
+        "0ee4996a448092a425125c1d5a4cef42f30e3340f39d7f18f18a9059e897d40a",
+    ("hex_patch", 2):
+        "483153106861bb83a5b03c718bb97dba6b04cb56ff3aab4c22965f3f0aa4b55b",
+}
 CLI_DIGESTS = {
     "classify":
         "614a653d8e9cd49d1c8a2d2494975c0d72160e81f5c7b161c8362b6a9d84152d",
@@ -128,6 +147,31 @@ def test_triangle_free_outputs():
                      _digest(audit.to_json(ledger.transfers)),
                      _digest(cert.to_json()))
     assert got == TF_OUTPUT_DIGESTS
+
+
+REGION_ENUM_CASES = (
+    [(("random_triangulation", s), randgen.random_triangulation(16, s),
+      Schedule(4, 3), 6) for s in range(1, 5)]
+    + [(("random_tf_maximal", s), randgen.random_tf_maximal(16, s),
+        Schedule.constant(2), 7) for s in (1, 2)]
+    + [(("rect_grid", 4), families.rect_grid(4, 4), Schedule.constant(2), 7),
+       (("hex_patch", 2), families.hex_patch(2), Schedule(4, 3), 6)])
+
+
+def test_region_enumeration_outputs():
+    # status, nodes and witness of every start; the corpus reaches all
+    # three statuses at this node limit
+    got, statuses = {}, set()
+    for case, g, sched, cap in REGION_ENUM_CASES:
+        out = []
+        for v in range(g.n):
+            res = engine._contain_by_region_enum(g, v, sched, cap, cap, 3000)
+            statuses.add(res.status)
+            out.append([res.status, res.nodes,
+                        res.trace.to_json() if res.trace else None])
+        got[case] = _digest(out)
+    assert statuses == {"feasible", "infeasible", "timeout"}
+    assert got == REGION_ENUM_DIGESTS
 
 
 @pytest.mark.parametrize("argv", [

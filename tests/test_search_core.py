@@ -141,20 +141,21 @@ def test_wall_schedule_early_reject_agrees(name, g, start, cap):
     regions = itertools.islice(engine._connected_regions(g, start, cap),
                                2000)
     for region in regions:
+        vs = set(engine._vertices(region))
         for sched in SCHEDULES:
             got = engine._wall_schedule(g, start, sched, region, cap)
-            assert got == wall_schedule_reference(g, start, sched, region,
-                                                  cap), (name, sorted(region))
-            _, walls = wall_deadlines(g, start, region)
+            assert got == wall_schedule_reference(g, start, sched, vs,
+                                                  cap), (name, sorted(vs))
+            _, walls = wall_deadlines(g, start, vs)
             rejected += len(walls) > sched.cumulative(max(walls.values()))
     assert rejected > 0
 
 
 def test_wall_schedule_skips_zero_budget_rounds():
-    assert engine._wall_schedule(F.path(5), 0, Schedule(0, 1), {0, 1}, 5) \
+    assert engine._wall_schedule(F.path(5), 0, Schedule(0, 1), 0b11, 5) \
         == [[], [2]]
     # no slot ever opens, and the search still ends
-    assert engine._wall_schedule(F.path(5), 0, Schedule(0, 0), {0, 1}, 5) \
+    assert engine._wall_schedule(F.path(5), 0, Schedule(0, 0), 0b11, 5) \
         is None
     # on the early-reject graphs every zero-budget region is rejected; on
     # paths and cycles walls get placed
@@ -165,10 +166,11 @@ def test_wall_schedule_skips_zero_budget_rounds():
     for name, g, start, cap in cases:
         for region in itertools.islice(
                 engine._connected_regions(g, start, cap), 2000):
+            vs = set(engine._vertices(region))
             for sched in (Schedule(0, 1), Schedule(0, 2), Schedule(1, 0)):
                 plan = engine._wall_schedule(g, start, sched, region, cap)
                 assert plan == wall_schedule_reference(
-                    g, start, sched, region, cap), (name, sorted(region))
+                    g, start, sched, vs, cap), (name, sorted(vs))
                 if plan is not None:
                     placed += 1
                     # raises StrategyBudgetViolation past a round's budget

@@ -1,6 +1,7 @@
 import pytest
 
-from firecontain import classify, families as F, randgen, rates, strategies
+from firecontain import classify, engine, families as F, randgen, rates
+from firecontain import strategies
 from firecontain.augment import augment_maximal_planar
 from firecontain.engine import (
     Schedule,
@@ -56,6 +57,22 @@ def test_corrupt_plans_name_themselves(monkeypatch):
     unprotected = dict(load_plan("hex_containment"), rounds=[])
     with pytest.raises(CorruptPlan, match="fails its guarantee"):
         strategies._guard_plan(unprotected)
+
+
+def test_rect_plan_caps_are_met_by_a_searched_plan():
+    # the shipped rect plan's guarantee, re-derived by the exact search:
+    # from the centre of a large square grid, two firefighters a round can
+    # keep the fire within 18 vertices and 8 rounds
+    plan = load_plan("rect_containment")
+    assert (plan["burn_cap"], plan["round_cap"]) == (18, 8)
+    g = F.rect_grid(17, 17)
+    centre = 8 * 17 + 8
+    res = engine._contain_by_dfs(g, centre, Schedule.constant(2), 18, 8,
+                                 3_000_000)
+    assert res.status == "feasible" and res.nodes == 487_014
+    trace = engine.replay(g, res.trace)
+    assert trace == res.trace
+    assert trace.burned_count <= 18 and len(trace.rounds) <= 8
 
 
 def test_lattice_map_hex():
