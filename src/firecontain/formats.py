@@ -183,15 +183,17 @@ def parse_rotation_json(data: bytes) -> list[EmbeddedGraph]:
             raise MalformedHeader("rotation_json needs {'n':..,'rotations':..}")
         n = rec["n"]
         rot = rec["rotations"]
+        # type(.) is int: a JSON true or false is a bool, not a vertex id
         if type(n) is not int or not isinstance(rot, list) or not all(
-                isinstance(r, list) for r in rot):
+                isinstance(r, list) and all(type(u) is int for u in r)
+                for r in rot):
             raise MalformedHeader("rotation_json needs an int 'n' and "
-                                  "'rotations', a list of lists")
+                                  "'rotations', a list of lists of ints")
         if len(rot) != n:
             raise TruncatedRecord(f"expected {n} rotations, got {len(rot)}")
         for r in rot:
             for u in r:
-                if not isinstance(u, int) or not 0 <= u < n:
+                if not 0 <= u < n:
                     raise VertexIndexOutOfRange(f"vertex id {u} out of range")
         graphs.append(build(rot, embedding_verified=True))
     return graphs

@@ -18,7 +18,7 @@ import hashlib
 import json
 from functools import lru_cache
 from importlib import resources
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from . import classify, families
 from .embedding import EmbeddedGraph
@@ -196,20 +196,6 @@ def config_plan(g: EmbeddedGraph, start: int, config_id: str) -> Plan:
     if not res.feasible:
         raise NotApplicable(f"no cap-18 containment from start {start}")
     return res.trace.protection_plan()
-
-
-def separator_plan(g: EmbeddedGraph, start: int, separator: Sequence[int]
-                   ) -> Plan:
-    """Protect a small separator one vertex per round, nearest first, so
-    every component on the far side survives; the fire must not reach the
-    separator before the last of it is protected."""
-    sep = sorted(set(separator))
-    dist = g.distances_from(start)
-    reach = [dist[s] for s in sep if dist[s] >= 0]
-    d = min(reach) if reach else -1
-    if d < len(sep):  # also when the start is on the separator
-        raise NotApplicable(f"separator of size {len(sep)} at distance {d}")
-    return [[s] for s in sorted(sep, key=lambda s: (dist[s], s))]
 
 
 # -- theorem dispatch -------------------------------------------------------

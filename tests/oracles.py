@@ -114,8 +114,11 @@ def containment_reference(g, start, schedule, burn_cap, round_cap):
 # -- the exact searches on frozenset states -----------------------------------
 #
 # The memoized searches as they were before the bitset layer: the same
-# keys, candidate order and pruning, so node counts, values, witnesses and
-# timeouts must match the engine's exactly.
+# keys and candidate order, so values, statuses and witnesses must match
+# the engine's.  They enter every child, so the engine's searches, which
+# prune and count a block of dead children as one node, take no more
+# nodes, and a timeout below the engine's own full count matches node for
+# node.
 
 class _NodeLimit(Exception):
     pass
@@ -287,14 +290,25 @@ def wall_schedule_reference(g, start, schedule, region, round_bound):
     return plan
 
 
+def contain_by_regions_reference(g, start, schedule, burn_cap, round_bound):
+    """The containment decision by region enumeration: "feasible" iff
+    some connected region of at most ``burn_cap`` vertices around the
+    start has a wall that can be protected before the fire, burning freely
+    inside the region, reaches it, within ``round_bound`` rounds."""
+    feasible = any(
+        wall_schedule_reference(g, start, schedule, region, round_bound)
+        is not None
+        for region in connected_subsets_reference(g, start, burn_cap))
+    return "feasible" if feasible else "infeasible"
+
+
 def connected_subsets_reference(g, start, max_size):
-    """All connected vertex sets containing start, sizes 1..max_size."""
-    out = set()
+    """Each connected vertex set containing start, sizes 1..max_size,
+    once, smallest first."""
+    others = [v for v in range(g.n) if v != start]
     for size in range(1, max_size + 1):
-        for comb in itertools.combinations(range(g.n), size):
-            if start not in comb:
-                continue
-            s = set(comb)
+        for comb in itertools.combinations(others, size - 1):
+            s = {start, *comb}
             seen = {start}
             queue = [start]
             for u in queue:
@@ -303,8 +317,7 @@ def connected_subsets_reference(g, start, max_size):
                         seen.add(w)
                         queue.append(w)
             if seen == s:
-                out.add(frozenset(s))
-    return out
+                yield s
 
 
 # -- construction by rebuilding after every insertion ------------------------

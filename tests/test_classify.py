@@ -220,13 +220,22 @@ def test_planar_random_triangulations_all_labelled():
             assert int(lab.split("_")[1]) == g.degree(v)
 
 
-def test_planar_region_enumeration_respects_node_limit():
-    # a degree-6 start among high-degree neighbours has too many cap-6
-    # regions to enumerate: the search must stop at the limit and report
-    # the start as undecided instead of running on
+def test_planar_containment_search_respects_node_limit():
+    # vertex 21 is a degree-6 start among high-degree neighbours whose
+    # cap-6 proof takes 57 nodes: below that, the search must stop at the
+    # limit and report the start as undecided instead of running on
     g = randgen.random_triangulation(300, 70)
-    rep = classify_planar(g, node_limit=20_000)
-    assert any(ev["rule"] == "exact_unknown" for ev in rep.evidence.values())
+    rep = classify_planar(g, node_limit=50)
+    assert rep.evidence[21]["rule"] == "exact_unknown"
+
+
+@pytest.mark.parametrize("n, seed, hub", [(300, 70, 21), (400, 164, 2)])
+def test_planar_hubs_are_decided(n, seed, hub):
+    # degree-6 starts among high-degree neighbours, where no probe holds
+    # the fire to 6 burned vertices; the search proves that nothing can
+    rep = classify_planar(randgen.random_triangulation(n, seed))
+    assert rep.labels[hub] == "Y_6"
+    assert rep.evidence[hub]["rule"] == "exact_infeasible"
 
 
 def test_tf_cube_all_config31():

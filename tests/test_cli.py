@@ -134,6 +134,16 @@ def test_input_file_round_trip(tmp_path, capsys):
     assert json.loads(out)["counts"] == {"X_3": 8}
 
 
+def test_rotation_json_boolean_vertex_exits_2(tmp_path, capsys):
+    # a JSON true is not vertex 1
+    path = tmp_path / "bool.json"
+    path.write_text('{"n": 2, "rotations": [[true], [0]]}')
+    code, out, err = run(capsys, "generate", "--input", str(path),
+                         "--format", "rotation_json")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "MalformedHeader"
+
+
 def test_graph6_needs_allow_unverified(tmp_path, capsys):
     path = tmp_path / "g.g6"
     path.write_bytes(formats.encode_graph6(F.path(4)))

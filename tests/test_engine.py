@@ -21,7 +21,6 @@ from firecontain.engine import (
 from firecontain.errors import StrategyBudgetViolation
 from firecontain.strategies import lattice_probes, load_plan, mapped_plan
 from oracles import (
-    connected_subsets_reference,
     containment_reference,
     run_simulation_reference,
     sn_reference,
@@ -135,20 +134,7 @@ def test_sn_timeout_is_lower_bound():
     assert replay(g, res.trace).saved == res.value
 
 
-def test_connected_region_enumeration():
-    for seed in range(8):
-        g = random_connected_graph(7, 0.4, seed + 50)
-        got = {frozenset(engine._vertices(region))
-               for region in engine._connected_regions(g, 0, 4)}
-        want = connected_subsets_reference(g, 0, 4)
-        assert got == want
-        assert len(list(engine._connected_regions(g, 0, 4))) == len(want)
-
-
-@pytest.mark.parametrize("force_dfs", [False, True])
-def test_containment_matches_reference(force_dfs, monkeypatch):
-    if force_dfs:
-        monkeypatch.setattr(engine, "REGION_ENUM_MAX_CAP", 0)
+def test_containment_matches_reference():
     for seed in range(10):
         g = random_connected_graph(7, 0.4, seed + 300)
         for sched in (Schedule.constant(1), Schedule.constant(2),

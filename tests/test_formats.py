@@ -85,6 +85,7 @@ def test_rotation_json_errors():
     b'{"n": 2, "rotations": 5}',
     b'{"n": 2, "rotations": [5, [0]]}',
     b'{"n": "2", "rotations": [[1], [0]]}',
+    b'{"n": 2, "rotations": [[true], [0]]}',
 ])
 def test_rotation_json_rotations_must_be_lists(data):
     with pytest.raises(MalformedHeader):

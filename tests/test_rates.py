@@ -138,6 +138,19 @@ def test_certify_thm3():
         assert certify_bound(g, "thm3_planar").passed
 
 
+def test_certify_thm3_carried_by_classification():
+    # past n = 10 848 the trivial bound first/n is below the threshold, so
+    # the certificate rests on the classification, which decides every start
+    g = randgen.random_triangulation(11000, 1)
+    cert = certify_bound(g, "thm3_planar")
+    assert trivial_rate_lower_bound(g, Schedule(4, 3)) < cert.threshold
+    assert cert.passed
+    assert cert.rate == Fraction(95270481, 121000000)
+    assert cert.notes["classification_rate"] == "95270481/121000000"
+    rep = classify.classify_planar(g)
+    assert all(ev["rule"] != "exact_unknown" for ev in rep.evidence.values())
+
+
 def test_certify_thm5():
     for g in (F.platonic("cube"), F.rect_grid(5, 5),
               randgen.random_tf_maximal(20, 0)):
