@@ -134,7 +134,10 @@ def test_sn_timeout_is_lower_bound():
     assert replay(g, res.trace).saved == res.value
 
 
-def test_containment_matches_reference():
+@pytest.mark.parametrize("force_dfs", [False, True])
+def test_containment_matches_reference(force_dfs, monkeypatch):
+    if force_dfs:  # no probe decides, so every verdict is the DFS's
+        monkeypatch.setattr(engine, "DEFAULT_PROBES", ())
     for seed in range(10):
         g = random_connected_graph(7, 0.4, seed + 300)
         for sched in (Schedule.constant(1), Schedule.constant(2),

@@ -1,14 +1,16 @@
 """Golden outputs: sha256 digests of generated graphs, builder face lists,
-triangle-free classification/audit/certificate JSON and CLI output on
-fixed seeds.  A change to construction, classification or discharging
-that is meant to keep every output byte-identical must keep these."""
+triangle-free classification/audit/certificate JSON, containment-search
+results on the region-enumeration corpus and CLI output on fixed seeds.
+A change to construction, classification, discharging or the search that
+is meant to keep every output byte-identical must keep these."""
 import hashlib
 import json
 
 import pytest
 
-from firecontain import augment, classify, cli, discharge, formats
+from firecontain import augment, classify, cli, discharge, engine, formats
 from firecontain import rates, randgen
+from test_search_core import REGION_ENUM_CASES
 
 GRAPH_DIGESTS = {
     ("random_tf_maximal", 200, 11):
@@ -72,6 +74,24 @@ TF_OUTPUT_DIGESTS = {
         "dc59b5c333eb41ca0c059efd028c05e3a367059f940dc18a2b986a5e4706e8a3",
     ),
 }
+REGION_ENUM_DIGESTS = {
+    "random_triangulation(16,1)":
+        "3a06b61ca655f6dc95c6a52ad20427c979d9141c751b807a28051affedb98283",
+    "random_triangulation(16,2)":
+        "de53213280f914a34a962faba544a5c26755e6f118fca2c79dce774e5dedba81",
+    "random_triangulation(16,3)":
+        "fd1a31f313a351d651ec98abf166e76a7c54f09ca3b48b64038554f808641f9b",
+    "random_triangulation(16,4)":
+        "33316d627aa754359b989384b6943040ba9ee24a535ae7cf6b9ffe9a07798a9c",
+    "random_tf_maximal(16,1)":
+        "6e7844831c06a4f1e8f0da872d73c3dbe8ac82abbde4c484f6ff89226d16d4ca",
+    "random_tf_maximal(16,2)":
+        "1403fcbe3b281b60595e695bc0e6b036efeb6c9461548fa2ee9ed69daee105ed",
+    "rect_grid(4,4)":
+        "fc8adb94f0b4121ae0a82774ce851a84e2b25b4f996cd34c0cea19a19f1a5b63",
+    "hex_patch(2)":
+        "a585eb853851eef7c5de9a50dabee7953b00e62d25b7afb8e4e859160c4a871a",
+}
 CLI_DIGESTS = {
     "classify":
         "614a653d8e9cd49d1c8a2d2494975c0d72160e81f5c7b161c8362b6a9d84152d",
@@ -128,6 +148,24 @@ def test_triangle_free_outputs():
                      _digest(audit.to_json(ledger.transfers)),
                      _digest(cert.to_json()))
     assert got == TF_OUTPUT_DIGESTS
+
+
+def test_region_enumeration_outputs():
+    # status, nodes and witness of the containment DFS at every start of
+    # the corpus that region enumeration was checked on, at a node limit
+    # of 2 (which times some starts out) and at one it never reaches
+    got, statuses = {}, set()
+    for name, g, sched, cap in REGION_ENUM_CASES:
+        out = []
+        for limit in (2, 3000):
+            for v in range(g.n):
+                res = engine._contain_by_dfs(g, v, sched, cap, cap, limit)
+                statuses.add(res.status)
+                out.append([res.status, res.nodes,
+                            res.trace.to_json() if res.trace else None])
+        got[name] = _digest(out)
+    assert statuses == {"feasible", "infeasible", "timeout"}
+    assert got == REGION_ENUM_DIGESTS
 
 
 @pytest.mark.parametrize("argv", [

@@ -171,6 +171,19 @@ REGION_ENUM_CASES = (
        ("hex_patch(2)", F.hex_patch(2), Schedule(4, 3), 6)])
 
 
+def test_contain_by_dfs_agrees_with_region_enumeration_at_cap6():
+    sched = Schedule(4, 3)
+    statuses = set()
+    for seed in range(1, 5):
+        g = randgen.random_triangulation(16, seed)
+        for v in range(g.n):
+            dfs = engine._contain_by_dfs(g, v, sched, 6, 6, 20_000).status
+            assert dfs == contain_by_regions_reference(g, v, sched, 6, 6), \
+                (seed, v)
+            statuses.add(dfs)
+    assert statuses == {"feasible", "infeasible"}
+
+
 def test_containment_matches_region_enumeration():
     """At every start the decision is region enumeration's, and where the
     probes fail the witness is the frozenset DFS's."""
