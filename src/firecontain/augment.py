@@ -45,7 +45,6 @@ class DartBuilder:
         self.index = [{v: i for i, v in enumerate(r)} for r in g.rotations]
         self.keys = [(f[0], self.index[f[0]][f[1]]) for f in self.faces]
         self.adjacency = [set(r) for r in g.rotations]
-        self.labels = g.labels
         self.positions = None if g.positions is None else list(g.positions)
 
     @property
@@ -57,9 +56,8 @@ class DartBuilder:
                       position: Optional[tuple[float, float]] = None
                       ) -> None:
         """Add a new vertex inside ``face`` joined to the given boundary
-        positions (in walk order).  Labels are dropped, since the new
-        vertex has none; without a ``position`` it sits at the centroid
-        of its neighbours."""
+        positions (in walk order); without a ``position`` it sits at the
+        centroid of its neighbours."""
         b = tuple(face)
         at = self._locate(b)
         new = self.n
@@ -74,7 +72,6 @@ class DartBuilder:
         self.rotations.append(rot)
         self.index.append({v: i for i, v in enumerate(rot)})
         self.adjacency.append(set(rot))
-        self.labels = None
         if self.positions is not None:
             if position is None:
                 xs = [self.positions[v][0] for v in attached]
@@ -99,8 +96,7 @@ class DartBuilder:
     def freeze(self) -> EmbeddedGraph:
         """Validate once through ``build``; the frozen graph traces and
         Euler-checks its own faces on first use."""
-        return build(self.rotations, labels=self.labels,
-                     positions=self.positions)
+        return build(self.rotations, positions=self.positions)
 
     # -- face bookkeeping ---------------------------------------------------
 

@@ -145,17 +145,9 @@ def contiguous_elements(g: EmbeddedGraph, v: int) -> list[Element]:
     (each element listed once)."""
     g.require_verified()
     out = [Element("face", f.id, f.degree) for f in g.incident_faces(v)]
-    seen: set[int] = set()
-    for u in g.adjacency[v]:
-        if FOUR_ADJACENT in relation_flavors(g, v, u).flavors:
-            seen.add(u)
-    for f in g.incident_faces(v):
-        if f.degree != 4:
-            continue
-        b = f.boundary
-        u = b[(b.index(v) + 2) % 4]
-        if u not in seen and not g.has_edge(u, v) and _opposite_faces(g, v, u):
-            seen.add(u)
+    seen = {u for u in g.adjacency[v]
+            if FOUR_ADJACENT in relation_flavors(g, v, u).flavors}
+    seen.update(u for u, _ in _opposite_partners(g, v))
     out.extend(Element("vertex", u, g.degree(u)) for u in sorted(seen))
     return out
 

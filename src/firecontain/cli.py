@@ -134,7 +134,10 @@ def _apply_config(args, subparser, given) -> None:
         if attr in given:
             continue
         action = actions.get(attr)
-        if action is not None and action.nargs != 0:  # not a switch
+        if action is not None and action.nargs == 0:  # a switch: a bool
+            if type(value) is not bool:
+                raise BadParameter(f"--config {key}: needs true or false")
+        elif action is not None:
             try:
                 value = subparser._get_value(action, str(value))
                 subparser._check_value(action, value)
@@ -268,6 +271,9 @@ def _dispatch(args) -> int:
     if cmd == "discharge":
         g = _load_graph(args)
         if args.context == "planar":
+            if args.beta is not None:
+                raise BadParameter("--beta applies to --context "
+                                   "trianglefree only")
             alpha = _parse_positive(args.alpha, "--alpha",
                                     discharge.PLANAR_ALPHA)
             report = classify.classify_planar(g)

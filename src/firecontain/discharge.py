@@ -16,6 +16,7 @@ conservation check stays exact.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain
@@ -24,7 +25,6 @@ from typing import Optional
 from . import classify
 from .classify import (
     FIVE_ADJACENT,
-    FOUR_ADJACENT,
     ClassificationReport,
     contiguous_elements,
     grid_ball,
@@ -104,6 +104,28 @@ def replay_transfers(initial: ChargeLedger, final: ChargeLedger) -> bool:
         redo.face_charge == final.face_charge
 
 
+# -- escape-path rules ------------------------------------------------------
+
+# lattice -> (escape-path rule, name of its grid)
+_ESCAPE_RULES = {"hex": ("R2", "hex"), "rect": ("S5", "square-grid")}
+
+
+def _escape_transfers(g, ledger, classification, lattice):
+    """R2 or S5: for every Y vertex of the lattice degree, the donor at
+    the end of its ``grid_ball`` escape path gives alpha."""
+    rule, grid = _ESCAPE_RULES[lattice]
+    label = f"Y_{len(classify.GRID_LATTICES[lattice][0])}"
+    for v in range(g.n):
+        if classification.labels[v] != label:
+            continue
+        _, esc = grid_ball(g, v, lattice)
+        if esc is None:
+            raise NoEscapePath(
+                f"{label} vertex {v} sits in a pure {grid} neighbourhood")
+        yield TransferRecord(rule, esc.donor, ("vertex", v), ledger.alpha,
+                             witness={"path": list(esc.path)})
+
+
 # -- planar context ---------------------------------------------------------
 
 def init_planar_charges(g: EmbeddedGraph,
@@ -129,16 +151,7 @@ def transfer_planar(g: EmbeddedGraph, ledger: ChargeLedger,
             if classification.labels[u] == "Y_5":
                 records.append(TransferRecord(
                     "R1", ("vertex", v), ("vertex", u), Fraction(1, 4)))
-    for v in range(g.n):
-        if classification.labels[v] != "Y_6":
-            continue
-        _, esc = grid_ball(g, v, "hex")
-        if esc is None:
-            raise NoEscapePath(
-                f"Y_6 vertex {v} sits in a pure hex neighbourhood")
-        records.append(TransferRecord(
-            "R2", esc.donor, ("vertex", v), ledger.alpha,
-            witness={"path": list(esc.path)}))
+    records.extend(_escape_transfers(g, ledger, classification, "hex"))
     return ledger.with_transfers(records)
 
 
@@ -204,16 +217,7 @@ def transfer_tf(g: EmbeddedGraph, ledger: ChargeLedger,
                     Fraction(1, 2) - beta))
     # S5: the escape-path endpoint (or its big face) gives alpha to each
     # Y_4 vertex
-    for v in range(g.n):
-        if classification.labels[v] != "Y_4":
-            continue
-        _, esc = grid_ball(g, v, "rect")
-        if esc is None:
-            raise NoEscapePath(
-                f"Y_4 vertex {v} sits in a pure square-grid neighbourhood")
-        records.append(TransferRecord(
-            "S5", esc.donor, ("vertex", v), ledger.alpha,
-            witness={"path": list(esc.path)}))
+    records.extend(_escape_transfers(g, ledger, classification, "rect"))
     return ledger.with_transfers(records)
 
 
@@ -258,46 +262,37 @@ class AuditReport:
 
 def audit_planar(g: EmbeddedGraph, ledger: ChargeLedger,
                  classification: ClassificationReport) -> AuditReport:
-    """Check conservation (-12), the per-class charge bounds, the counting
-    consequence, and the crude donor-frequency caps."""
+    """Check conservation (-12), the per-class charge bounds, the Y_5
+    neighbour cap, the counting consequence (|Y| <= factor |X|), and the
+    crude donor-frequency caps."""
     a = ledger.alpha
-    x_bound = Fraction(-3) - 93 * a
-    violations = []
-    strict = True
-    for v in range(g.n):
-        c = ledger.vertex_charge[v]
-        if classification.side(v) == "X":
-            if c < x_bound:
-                violations.append(("vertex", v, "x_bound", c))
-            elif c == x_bound:
-                strict = False
-        else:
-            if c < a:
-                violations.append(("vertex", v, "y_bound", c))
     cap = classify.check_y5_neighbor_cap(g, classification)
-    violations.extend(("vertex", v, "y5_neighbor_cap", cnt)
-                      for v, cnt in cap.counterexamples)
-    factor = 93 + 3 / a
-    x = len(classification.x_vertices())
-    y = len(classification.y_vertices())
-    counting_ok = y <= factor * x
-    crude_ok = _check_crude(g, ledger, {"R2": R2_PATHS_PER_DEGREE}, {})
-    return AuditReport(
-        context="planar_sigma",
-        conservation_residual=ledger.total() + 12,
-        bound_violations=violations,
-        strict_x_bound=strict,
-        counting_ok=counting_ok,
-        crude_counts_ok=crude_ok,
-        x=x, y=y, counting_factor=factor)
+    return _audit(g, ledger, classification, total=-12, x_bound=-3 - 93 * a,
+                  factor=93 + 3 / a, below=operator.le,
+                  extra=[("vertex", v, "y5_neighbor_cap", cnt)
+                         for v, cnt in cap.counterexamples],
+                  vertex_caps={"R2": R2_PATHS_PER_DEGREE}, face_caps={})
 
 
 def audit_tf(g: EmbeddedGraph, ledger: ChargeLedger,
              classification: ClassificationReport) -> AuditReport:
     """Check conservation (-8), the per-class vertex bounds, nonnegative
-    face charges, the counting consequence, and the donor caps."""
+    face charges, the counting consequence (|Y| < factor |X|), and the
+    donor caps."""
     a, b = ledger.alpha, ledger.beta
-    x_bound = Fraction(-2) - b
+    return _audit(g, ledger, classification, total=-8, x_bound=-2 - b,
+                  factor=(2 + b) / a, below=operator.lt, extra=[],
+                  vertex_caps={"S5": S5_VERTEX_PATHS_PER_DEGREE},
+                  face_caps={"S5": S5_FACE_PATHS_PER_DEGREE})
+
+
+def _audit(g, ledger, classification, *, total, x_bound, factor, below,
+           extra, vertex_caps, face_caps) -> AuditReport:
+    """The audit of both contexts: the charges sum to ``total``, an X
+    vertex keeps at least ``x_bound``, a Y vertex at least alpha and a
+    face at least 0, and the counting consequence holds if X and Y are
+    both empty or ``below(y, factor * x)``.  ``extra`` lists the
+    context's own violations."""
     violations = []
     strict = True
     for v in range(g.n):
@@ -307,27 +302,20 @@ def audit_tf(g: EmbeddedGraph, ledger: ChargeLedger,
                 violations.append(("vertex", v, "x_bound", c))
             elif c == x_bound:
                 strict = False
-        else:
-            if c < a:
-                violations.append(("vertex", v, "y_bound", c))
-    for f in g.faces():
-        if ledger.face_charge[f.id] < 0:
-            violations.append(("face", f.id, "face_bound",
-                               ledger.face_charge[f.id]))
-    factor = (2 + b) / a
+        elif c < ledger.alpha:
+            violations.append(("vertex", v, "y_bound", c))
+    violations.extend(("face", f, "face_bound", c)
+                      for f, c in ledger.face_charge.items() if c < 0)
+    violations.extend(extra)
     x = len(classification.x_vertices())
     y = len(classification.y_vertices())
-    counting_ok = (y == 0 and x == 0) or (x > 0 and y < factor * x)
-    crude_ok = _check_crude(
-        g, ledger, {"S5": S5_VERTEX_PATHS_PER_DEGREE},
-        {"S5": S5_FACE_PATHS_PER_DEGREE})
     return AuditReport(
-        context="trianglefree_nu",
-        conservation_residual=ledger.total() + 8,
+        context=ledger.context,
+        conservation_residual=ledger.total() - total,
         bound_violations=violations,
         strict_x_bound=strict,
-        counting_ok=counting_ok,
-        crude_counts_ok=crude_ok,
+        counting_ok=x == y == 0 or below(y, factor * x),
+        crude_counts_ok=_check_crude(g, ledger, vertex_caps, face_caps),
         x=x, y=y, counting_factor=factor)
 
 

@@ -38,9 +38,6 @@ class Face:
     def degree(self) -> int:
         return len(self.boundary)
 
-    def vertices(self) -> frozenset[int]:
-        return frozenset(self.boundary)
-
 
 class EmbeddedGraph:
     """Immutable simple connected graph with a combinatorial embedding.
@@ -52,20 +49,17 @@ class EmbeddedGraph:
     """
 
     __slots__ = (
-        "rotations", "labels", "embedding_verified", "positions", "__dict__",
+        "rotations", "embedding_verified", "positions", "__dict__",
     )
 
     def __init__(
         self,
         rotations: Sequence[Sequence[int]],
-        labels: Optional[Sequence[str]] = None,
         embedding_verified: bool = True,
         positions: Optional[Sequence[tuple[float, float]]] = None,
     ):
         object.__setattr__(self, "rotations",
                            tuple(tuple(r) for r in rotations))
-        object.__setattr__(self, "labels",
-                           tuple(labels) if labels is not None else None)
         object.__setattr__(self, "embedding_verified", bool(embedding_verified))
         object.__setattr__(self, "positions",
                            tuple(positions) if positions is not None else None)
@@ -309,8 +303,7 @@ def _propagate_map(rot, pos, base: int, image: int, offset: int,
 
 
 def build(
-    rotations: Sequence[Sequence[int]] | dict[int, Sequence[int]],
-    labels: Optional[Sequence[str]] = None,
+    rotations: Sequence[Sequence[int]],
     embedding_verified: bool = True,
     positions: Optional[Sequence[tuple[float, float]]] = None,
 ) -> EmbeddedGraph:
@@ -319,12 +312,6 @@ def build(
     Rejects loops, repeated neighbours, asymmetric adjacency and
     disconnected input.
     """
-    if isinstance(rotations, dict):
-        n = len(rotations)
-        if set(rotations) != set(range(n)):
-            raise AsymmetricAdjacency(
-                f"rotation dict keys must be 0..{n - 1}")
-        rotations = [rotations[v] for v in range(n)]
     rot = [tuple(r) for r in rotations]
     n = len(rot)
     if n == 0:
@@ -354,8 +341,7 @@ def build(
                 queue.append(w)
     if len(seen) != n:
         raise Disconnected(f"only {len(seen)} of {n} vertices reachable")
-    return EmbeddedGraph(rot, labels=labels,
-                         embedding_verified=embedding_verified,
+    return EmbeddedGraph(rot, embedding_verified=embedding_verified,
                          positions=positions)
 
 

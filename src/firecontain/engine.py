@@ -71,11 +71,6 @@ class Schedule:
     def budget(self, round_no: int) -> int:
         return self.first if round_no == 1 else self.rest
 
-    def cumulative(self, round_no: int) -> int:
-        if round_no <= 0:
-            return 0
-        return self.first + self.rest * (round_no - 1)
-
     def as_pair(self) -> list[int]:
         return [self.first, self.rest]
 
@@ -111,12 +106,6 @@ class SimTrace:
     @property
     def burned_count(self) -> int:
         return self.n - self.saved
-
-    def burned_set(self) -> frozenset[int]:
-        out = {self.start}
-        for r in self.rounds:
-            out.update(r.burned)
-        return frozenset(out)
 
     def protection_plan(self) -> list[list[int]]:
         return [list(r.protect) for r in self.rounds]

@@ -11,19 +11,12 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .embedding import EmbeddedGraph, build
 from .errors import BadParameter
 
 HEX_DIRS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
 RECT_DIRS = ((1, 0), (0, 1), (-1, 0), (0, -1))
-
-PLATONIC_NAMES = ("tetrahedron", "cube", "octahedron", "dodecahedron",
-                  "icosahedron")
-
-FAMILY_NAMES = ("hex_patch", "rect_grid", "star", "complete_bipartite_2_m",
-                "cycle", "platonic", "path")
 
 
 @dataclass(frozen=True)
@@ -32,7 +25,7 @@ class FamilySpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.family not in FAMILY_NAMES:
+        if self.family not in _GENERATORS:
             raise BadParameter(f"unknown family {self.family!r}")
 
 
@@ -47,7 +40,7 @@ def parse_family(text: str) -> FamilySpec:
     name of a platonic solid alone."""
     name, colon, raw = text.partition(":")
     args = raw.split(",") if colon else []
-    if name in PLATONIC_NAMES and not args:
+    if name in _PLATONIC_COORDS and not args:
         return FamilySpec("platonic", {"which": name})
     if name not in _GENERATORS or name == "platonic":
         raise BadParameter(f"cannot parse family spec {text!r}")
@@ -158,7 +151,7 @@ def _hex_dist(cell: tuple[int, int]) -> int:
 # -- platonic solids --------------------------------------------------------
 
 def platonic(which: str) -> EmbeddedGraph:
-    if which not in PLATONIC_NAMES:
+    if which not in _PLATONIC_COORDS:
         raise BadParameter(f"unknown platonic solid {which!r}")
     verts, edge_len = _PLATONIC_COORDS[which]()
     n = len(verts)

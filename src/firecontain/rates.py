@@ -6,7 +6,6 @@ rates are exact rationals; decimals appear only in rendered output.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional

@@ -190,11 +190,12 @@ def config_plan(g: EmbeddedGraph, start: int, config_id: str) -> Plan:
             f"config {config_id!r} does not match start {start}")
     if config_id == "3.1":
         return _spare_one_plan(g, start, 3)
-    sched = classify.SCHEDULES["trianglefree_thm5"]
-    res = min_burned_containment(g, start, sched, burn_cap=18,
-                                 probes=lattice_probes(g, start, sched, 18))
+    context = "trianglefree_thm5"
+    cap = classify.CLASSIFY[context][1]
+    res = min_burned_containment(g, start, classify.SCHEDULES[context],
+                                 burn_cap=cap)
     if not res.feasible:
-        raise NotApplicable(f"no cap-18 containment from start {start}")
+        raise NotApplicable(f"no cap-{cap} containment from start {start}")
     return res.trace.protection_plan()
 
 

@@ -155,6 +155,13 @@ def test_graph6_needs_allow_unverified(tmp_path, capsys):
                        "--format", "graph6", "--allow-unverified",
                        "--start", "0", "--k", "1")
     assert code == 0 and json.loads(out)["value"] == 3
+    # a config switch takes a JSON boolean
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"allow-unverified": true}')
+    code, out, _ = run(capsys, "--config", str(cfg), "solve",
+                       "--input", str(path), "--format", "graph6",
+                       "--start", "0", "--k", "1")
+    assert code == 0 and json.loads(out)["value"] == 3
 
 
 def test_exactly_one_source_required(capsys):
@@ -221,6 +228,8 @@ def test_rate_theorem_on_a_hex_tube(tmp_path, capsys, capped_tube):
      "--beta=-1"),
     ("discharge", "--family", "cube", "--context", "trianglefree",
      "--beta", "0"),
+    ("discharge", "--family", "icosahedron", "--context", "planar",
+     "--beta", "1/2"),
     ("rate", "--family", "path:3", "--schedule", "4"),
     ("simulate", "--family", "path:3", "--start", "0", "--k", "-1"),
     ("solve", "--family", "path:3", "--start", "7", "--k", "1"),
@@ -240,8 +249,8 @@ def test_rate_theorem_on_a_hex_tube(tmp_path, capsys, capped_tube):
     ("generate", "--family", "path:"),
     ("generate", "--family", "star:3,4"),
     ("generate", "--family", "cube:1"),
-], ids=["alpha_abc", "alpha_0", "beta_minus_1", "beta_0", "schedule_4",
-        "k_minus_1", "start_7",
+], ids=["alpha_abc", "alpha_0", "beta_minus_1", "beta_0", "planar_beta",
+        "schedule_4", "k_minus_1", "start_7",
         "solve_node_limit_minus_5", "solve_node_limit_0",
         "rate_node_limit_minus_1", "rate_theorem_node_limit_0",
         "classify_node_limit_minus_3", "family_star_bare", "family_star_x",
@@ -289,6 +298,9 @@ RENDER = ("render", "--family", "path:5", "--trace", "@trace.json",
     ({"cfg.json": '{"k": "one"}'}, ("--config", "@cfg.json", *SOLVE)),
     ({"cfg.json": '{"k": 1'}, ("--config", "@cfg.json", *SOLVE)),
     ({"cfg.json": '[1]'}, ("--config", "@cfg.json", *SOLVE)),
+    ({"cfg.json": '{"allow-unverified": "false"}', "g.g6": "Ch"},
+     ("--config", "@cfg.json", "simulate", "--input", "@g.g6",
+      "--format", "graph6", "--start", "0", "--k", "1")),
     ({}, ("--config", "@missing.json", *SOLVE)),
     ({}, ("solve", "--input", "@missing.json", "--format", "rotation_json",
           "--start", "0", "--k", "1")),
@@ -305,6 +317,7 @@ RENDER = ("render", "--family", "path:5", "--trace", "@trace.json",
     ({"trace.json": '{"start": 0, "schedule": [1, 1], "rounds": [], '
                     '"saved": 4}', "imgs": ""}, RENDER),
 ], ids=["config_k_one", "config_malformed", "config_not_object",
+        "config_switch_string",
         "config_missing", "input_missing", "trace_without_schedule",
         "trace_not_json", "trace_start_99", "trace_burned_x",
         "trace_schedule_float", "generate_out_is_file",

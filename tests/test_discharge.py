@@ -325,6 +325,56 @@ def test_audit_tf_x_vertex_on_the_bound_is_not_strict():
     assert audit.to_json()["strict_x_bound"] is False
 
 
+def test_audit_planar_x_vertex_on_the_bound_is_not_strict():
+    g = F.platonic("icosahedron")
+    rep = classify.classify_planar(g)
+    assert rep.side(0) == "X" and rep.side(1) == "X"
+    led = init_planar_charges(g)
+    assert audit_planar(g, led, rep).strict_x_bound
+    # vertex 0 (charge -1) gives 2 + 93 alpha and sits at exactly
+    # -3 - 93 alpha
+    led = led.with_transfers([TransferRecord(
+        "R1", ("vertex", 0), ("vertex", 1), 2 + 93 * PLANAR_ALPHA)])
+    assert led.vertex_charge[0] == -3 - 93 * PLANAR_ALPHA
+    audit = audit_planar(g, led, rep)
+    assert audit.bound_violations == []
+    assert audit.strict_x_bound is False
+    assert audit.ok
+
+
+def test_audit_planar_y5_neighbor_cap():
+    g = randgen.random_triangulation(30, 1)
+    v = max(range(g.n), key=g.degree)
+    d = g.degree(v)
+    assert d >= 7
+    nbrs = sorted(g.adjacency[v])
+    led = init_planar_charges(g)
+    # floor(d/2) Y_5 neighbours are allowed, one more is not
+    for many, bad in ((d // 2, False), (d // 2 + 1, True)):
+        rep = _fabricate("planar_thm3", g,
+                         {u: "Y_5" for u in nbrs[:many]})
+        caps = [t for t in audit_planar(g, led, rep).bound_violations
+                if t[2] == "y5_neighbor_cap"]
+        assert caps == ([("vertex", v, "y5_neighbor_cap", many)]
+                        if bad else [])
+
+
+def test_audit_tf_negative_face_charge():
+    g = F.platonic("cube")
+    rep = classify.classify_triangle_free(g)
+    led = init_tf_charges(g)
+    assert led.face_charge[0] == 0
+    led = led.with_transfers([TransferRecord(
+        "S4", ("face", 0), ("vertex", 0), Fraction(1, 2))])
+    audit = audit_tf(g, led, rep)
+    assert audit.conservation_residual == 0
+    assert audit.bound_violations == [
+        ("face", 0, "face_bound", Fraction(-1, 2))]
+    assert not audit.ok
+    assert audit.to_json()["bound_violations"] == [
+        ["face", "0", "face_bound", "-1/2"]]
+
+
 def test_audit_json():
     import json
     g = randgen.random_tf_maximal(16, 1)

@@ -30,8 +30,6 @@ from oracles import (
 def test_schedule():
     s = Schedule(4, 3)
     assert s.budget(1) == 4 and s.budget(2) == 3 and s.budget(9) == 3
-    assert s.cumulative(0) == 0
-    assert s.cumulative(3) == 10
     assert Schedule.constant(2).as_pair() == [2, 2]
     with pytest.raises(ValueError):
         Schedule(-1, 2)
