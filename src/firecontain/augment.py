@@ -11,7 +11,7 @@ vertex is placed the same way at each boundary vertex it joins.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .embedding import EmbeddedGraph, Face, build
 from .errors import (
@@ -52,11 +52,9 @@ class DartBuilder:
         return len(self.rotations)
 
     def insert_vertex(self, face: Sequence[int],
-                      attach_positions: Sequence[int],
-                      position: Optional[tuple[float, float]] = None
-                      ) -> None:
+                      attach_positions: Sequence[int]) -> None:
         """Add a new vertex inside ``face`` joined to the given boundary
-        positions (in walk order); without a ``position`` it sits at the
+        positions (in walk order); in a drawn graph it sits at the
         centroid of its neighbours."""
         b = tuple(face)
         at = self._locate(b)
@@ -73,11 +71,9 @@ class DartBuilder:
         self.index.append({v: i for i, v in enumerate(rot)})
         self.adjacency.append(set(rot))
         if self.positions is not None:
-            if position is None:
-                xs = [self.positions[v][0] for v in attached]
-                ys = [self.positions[v][1] for v in attached]
-                position = (sum(xs) / len(xs), sum(ys) / len(ys))
-            self.positions.append(position)
+            xs = [self.positions[v][0] for v in attached]
+            ys = [self.positions[v][1] for v in attached]
+            self.positions.append((sum(xs) / len(xs), sum(ys) / len(ys)))
         self._replace_face(at, [(new, v) for v in rot])
 
     def insert_chord(self, face: Sequence[int], i: int, j: int) -> None:
@@ -180,13 +176,11 @@ def insert_chord(g: EmbeddedGraph, face: Face, i: int, j: int
 
 
 def insert_vertex_in_face(g: EmbeddedGraph, face: Face,
-                          attach_positions: Sequence[int],
-                          position: Optional[tuple[float, float]] = None
-                          ) -> EmbeddedGraph:
+                          attach_positions: Sequence[int]) -> EmbeddedGraph:
     """Add a new vertex inside ``face`` joined to the given boundary
     positions (in walk order)."""
     b = DartBuilder(g)
-    b.insert_vertex(face.boundary, attach_positions, position)
+    b.insert_vertex(face.boundary, attach_positions)
     return b.freeze()
 
 

@@ -37,21 +37,6 @@ CLASSIFY = {
     "trianglefree_thm5": ("rect", 18),
 }
 
-FOUR_OPPOSITE = "four_opposite"
-FOUR_ADJACENT = "four_adjacent"
-FIVE_ADJACENT = "five_adjacent"
-
-
-@dataclass(frozen=True)
-class Relation:
-    """Adjacency flavours holding between a vertex pair, with witnesses."""
-
-    u: int
-    v: int
-    flavors: frozenset[str]
-    witness_faces: tuple[int, ...] = ()
-
-
 @dataclass(frozen=True)
 class Element:
     """A vertex or a face, tagged with its degree."""
@@ -105,23 +90,21 @@ class ClassificationReport:
 
 # -- adjacency flavours -----------------------------------------------------
 
-def relation_flavors(g: EmbeddedGraph, u: int, v: int) -> Relation:
-    """All flavours holding between u and v, with witnessing face ids."""
+def four_adjacent(g: EmbeddedGraph, u: int, v: int) -> bool:
+    """u and v are adjacent, and both faces at the edge have degree 4."""
+    return _square_sides(g, u, v) == 2
+
+
+def five_adjacent(g: EmbeddedGraph, u: int, v: int) -> bool:
+    """u and v are adjacent, and one face at the edge has degree 4."""
+    return _square_sides(g, u, v) == 1
+
+
+def _square_sides(g: EmbeddedGraph, u: int, v: int) -> int:
     g.require_verified()
-    flavors: set[str] = set()
-    witnesses: list[int] = []
-    if g.has_edge(u, v):
-        deg4 = [f for f in g.edge_faces(u, v) if f.degree == 4]
-        if len(deg4) == 2:
-            flavors.add(FOUR_ADJACENT)
-        elif len(deg4) == 1:
-            flavors.add(FIVE_ADJACENT)
-        witnesses.extend(f.id for f in deg4)
-    else:
-        for f in _opposite_faces(g, u, v):
-            flavors.add(FOUR_OPPOSITE)
-            witnesses.append(f.id)
-    return Relation(u, v, frozenset(flavors), tuple(witnesses))
+    if not g.has_edge(u, v):
+        return 0
+    return sum(f.degree == 4 for f in g.edge_faces(u, v))
 
 
 def _opposite_faces(g: EmbeddedGraph, u: int, v: int) -> list[Face]:
@@ -145,8 +128,7 @@ def contiguous_elements(g: EmbeddedGraph, v: int) -> list[Element]:
     (each element listed once)."""
     g.require_verified()
     out = [Element("face", f.id, f.degree) for f in g.incident_faces(v)]
-    seen = {u for u in g.adjacency[v]
-            if FOUR_ADJACENT in relation_flavors(g, v, u).flavors}
+    seen = {u for u in g.adjacency[v] if four_adjacent(g, v, u)}
     seen.update(u for u, _ in _opposite_partners(g, v))
     out.extend(Element("vertex", u, g.degree(u)) for u in sorted(seen))
     return out
@@ -157,8 +139,7 @@ def _contiguous_vertices(g: EmbeddedGraph, v: int) -> list[int]:
 
 
 def _five_adjacent_vertices(g: EmbeddedGraph, v: int) -> list[int]:
-    return [u for u in sorted(g.adjacency[v])
-            if FIVE_ADJACENT in relation_flavors(g, v, u).flavors]
+    return [u for u in sorted(g.adjacency[v]) if five_adjacent(g, v, u)]
 
 
 # -- degree-3 configurations (triangle-free context) ------------------------
@@ -215,7 +196,7 @@ def detect_local_configs(g: EmbeddedGraph, v: int) -> list[ConfigMatch]:
             if any(g.degree(x) > 3 for x in window):
                 continue
             mid = window[1]
-            if FOUR_ADJACENT in relation_flavors(g, w, mid).flavors:
+            if four_adjacent(g, w, mid):
                 hit = window
                 break
         if hit is not None:
@@ -226,11 +207,10 @@ def detect_local_configs(g: EmbeddedGraph, v: int) -> list[ConfigMatch]:
     for u in nbrs:
         if g.degree(u) != 6:
             continue
-        if FOUR_ADJACENT not in relation_flavors(g, v, u).flavors:
+        if not four_adjacent(g, v, u):
             continue
         sat = [w for w in sorted(g.adjacency[u])
-               if g.degree(w) <= 3
-               and FOUR_ADJACENT in relation_flavors(g, u, w).flavors]
+               if g.degree(w) <= 3 and four_adjacent(g, u, w)]
         if len(sat) >= 6:
             out.append(ConfigMatch("3.6", v, {"vertex": u, "low": sat}))
             break
@@ -396,7 +376,7 @@ def _classify(g, context, mode, node_limit, local_rule
     on the evidence ``local_rule(v)`` gives, if any, and at D if it
     passes the grid test.  Every other vertex goes to the containment
     search within the context's burn cap."""
-    lattice, burn_cap = CLASSIFY[context]
+    lattice = CLASSIFY[context][0]
     top = len(GRID_LATTICES[lattice][0])
     labels: dict[int, str] = {}
     evidence: dict[int, dict] = {}
@@ -416,18 +396,19 @@ def _classify(g, context, mode, node_limit, local_rule
             ev = None
         if ev is None:
             labels[v], evidence[v] = _resolve_exact(
-                g, v, d, mode, SCHEDULES[context], burn_cap, node_limit)
+                g, v, d, mode, context, node_limit)
         else:
             labels[v], evidence[v] = f"X_{d}", ev
     return ClassificationReport(context, mode, labels, evidence)
 
 
-def _resolve_exact(g, v, d, mode, sched, burn_cap, node_limit):
+def _resolve_exact(g, v, d, mode, context, node_limit):
     if mode != "exact":
         return f"Y_{d}", {"rule": "unmatched"}
     from . import strategies  # deferred: strategies imports this module
-    probes = strategies.lattice_probes(g, v, sched, burn_cap)
-    res = min_burned_containment(g, v, sched, burn_cap=burn_cap,
+    lattice, burn_cap = CLASSIFY[context]
+    probes = strategies.lattice_probes(g, v, lattice)
+    res = min_burned_containment(g, v, SCHEDULES[context], burn_cap=burn_cap,
                                  node_limit=node_limit, probes=probes)
     if res.status == "feasible":
         return f"X_{d}", {"rule": "exact", "trace": res.trace.to_json()}
@@ -453,8 +434,7 @@ def special_sets(g: EmbeddedGraph, report: ClassificationReport) -> dict:
     y53 = {}
     for v in sorted(y5):
         partners = [u for u in sorted(g.adjacency[v])
-                    if u in y3
-                    and FOUR_ADJACENT in relation_flavors(g, v, u).flavors]
+                    if u in y3 and four_adjacent(g, v, u)]
         if len(partners) >= 3:
             y53[v] = partners
     return {"Y32": y32, "Y53": y53}
@@ -562,8 +542,8 @@ def _check_y3_y53_cap(g, y3, y53):
     """Every Y_3 vertex is 4-adjacent to at most one Y53 vertex."""
     bad = []
     for v in sorted(y3):
-        cnt = [u for u in sorted(g.adjacency[v]) if u in y53
-               and FOUR_ADJACENT in relation_flavors(g, v, u).flavors]
+        cnt = [u for u in sorted(g.adjacency[v])
+               if u in y53 and four_adjacent(g, v, u)]
         if len(cnt) > 1:
             bad.append((v, cnt))
     return ClaimResult("y3_y53_adjacency_cap", not bad, tuple(bad))

@@ -126,7 +126,8 @@ def _given_flags(parser, subparser, argv) -> set[str]:
 
 def _apply_config(args, subparser, given) -> None:
     """Set the flags not ``given`` from the ``--config`` object, read as
-    flag text; config values replace defaults."""
+    flag text; config values replace defaults.  A key that names no flag
+    of the subcommand is a BadParameter."""
     actions = {a.dest: a for a in subparser._actions}
     config = _read(args.config, "--config", lambda b: dict(json.loads(b)))
     for key, value in config.items():
@@ -134,10 +135,13 @@ def _apply_config(args, subparser, given) -> None:
         if attr in given:
             continue
         action = actions.get(attr)
-        if action is not None and action.nargs == 0:  # a switch: a bool
+        if action is None:
+            raise BadParameter(
+                f"--config {key}: not a flag of {args.command}")
+        if action.nargs == 0:  # a switch: a bool
             if type(value) is not bool:
                 raise BadParameter(f"--config {key}: needs true or false")
-        elif action is not None:
+        else:
             try:
                 value = subparser._get_value(action, str(value))
                 subparser._check_value(action, value)
@@ -309,6 +313,13 @@ def _dispatch(args) -> int:
         g = _load_graph(args)
         trace = _read(args.trace, "--trace", lambda b:
                       engine.SimTrace.from_json(json.loads(b), g.n))
+        try:
+            replays = engine.replay(g, trace) == trace
+        except FireContainError:
+            replays = False
+        if not replays:
+            raise BadParameter(f"--trace {args.trace}: its protections "
+                               f"do not give this fire on this graph")
         svgs = render.render_trace(g, trace)
         _write(args.out, {f"round_{k:02d}.svg": s for k, s in enumerate(svgs)})
         print(json.dumps({"rounds": len(trace.rounds),

@@ -24,11 +24,10 @@ from typing import Optional
 
 from . import classify
 from .classify import (
-    FIVE_ADJACENT,
     ClassificationReport,
     contiguous_elements,
+    five_adjacent,
     grid_ball,
-    relation_flavors,
     require_exact,
     special_sets,
 )
@@ -203,7 +202,7 @@ def transfer_tf(g: EmbeddedGraph, ledger: ChargeLedger,
         for u in sorted(g.adjacency[v]):
             if g.degree(u) < 5:
                 continue
-            if FIVE_ADJACENT in relation_flavors(g, v, u).flavors:
+            if five_adjacent(g, v, u):
                 records.append(TransferRecord(
                     "S3", ("vertex", u), ("vertex", v),
                     Fraction(1, 10) - beta))

@@ -510,32 +510,29 @@ def min_burned_containment(
     start: int,
     schedule: Schedule,
     burn_cap: int,
-    round_cap: Optional[int] = None,
     node_limit: int = 2_000_000,
     probes: Sequence[Decide] = (),
 ) -> ContainmentResult:
-    """Find a strategy whose total burned count stays within ``burn_cap``
-    (contained within ``round_cap`` rounds if given), or prove none exists.
+    """Find a strategy whose total burned count stays within ``burn_cap``,
+    or prove none exists.  An uncontained fire burns at least one vertex
+    per round, so such a strategy contains the fire by round ``burn_cap``.
 
-    The probes run first, and the first that meets both caps is the
+    The probes run first, and the first that meets the cap is the
     witness.  Otherwise the DFS decides, and its witness is the first plan
-    within both caps in combination order.
+    within the cap in combination order.
     """
-    if burn_cap < 1 or (round_cap is not None and round_cap < 1):
-        raise ValueError("caps must be positive")
-    # an uncontained fire burns at least one vertex per round, so any
-    # plan within the cap is contained by round burn_cap
-    bound = burn_cap if round_cap is None else min(round_cap, burn_cap)
-
+    if burn_cap < 1:
+        raise ValueError("burn_cap must be positive")
     # every strategy trivially respects the cap on a small graph; letting
-    # it burn is a (degenerate) witness, but still check the round bound.
-    # A probe is cut off as soon as it can no longer meet both caps.
+    # it burn is a (degenerate) witness.  A probe is cut off as soon as it
+    # can no longer meet the cap.
     trivial = (null_strategy,) if g.n <= burn_cap else ()
     for probe in trivial + tuple(probes) + DEFAULT_PROBES:
-        t = _simulate(g, start, schedule, probe, burn_cap, bound)
+        t = _simulate(g, start, schedule, probe, burn_cap, burn_cap)
         if t is not None:
             return ContainmentResult("feasible", trace=t, proven=True)
-    return _contain_by_dfs(g, start, schedule, burn_cap, bound, node_limit)
+    return _contain_by_dfs(g, start, schedule, burn_cap, burn_cap,
+                           node_limit)
 
 
 def _contain_by_dfs(g, start, schedule, burn_cap, round_bound, node_limit

@@ -16,20 +16,14 @@ from .engine import Schedule, plan_strategy, run_simulation, sn_exact
 from .errors import BadParameter, HypothesisViolated
 from .formats import rational
 
-THEOREMS = ("thm2_girth5", "thm3_planar", "thm5_trianglefree", "k2n_upper")
-
-THRESHOLDS = {
-    "thm2_girth5": Fraction(1, 22),
-    "thm3_planar": Fraction(1, 2712),
-    "thm5_trianglefree": Fraction(1, 723636),
+# lower-bound theorem -> (classification context, threshold); the
+# schedule is the context's, ``classify.SCHEDULES``
+BOUNDS = {
+    "thm2_girth5": ("girth5_thm2", Fraction(1, 22)),
+    "thm3_planar": ("planar_thm3", Fraction(1, 2712)),
+    "thm5_trianglefree": ("trianglefree_thm5", Fraction(1, 723636)),
 }
-
-SCHEDULES = {
-    "thm2_girth5": Schedule.constant(2),
-    "thm3_planar": Schedule(4, 3),
-    "thm5_trianglefree": Schedule.constant(2),
-    "k2n_upper": Schedule.constant(1),
-}
+THEOREMS = (*BOUNDS, "k2n_upper")
 
 
 @dataclass
@@ -93,14 +87,14 @@ def surviving_rate_exact(g: EmbeddedGraph, schedule: Schedule,
         saved=saved, rate=_rate_from_saved(saved, g.n), partial=partial)
 
 
-def surviving_rate_lower_bound(g: EmbeddedGraph, schedule: Schedule,
-                               classification:
-                               "classify.ClassificationReport",
-                               instance: str = "") -> RateReport:
-    """Rate lower bound from replaying the dispatched per-start plans;
-    starts labelled Y contribute zero."""
-    plan_for = strategies.theorem_dispatch(classification.context,
-                                           classification)
+def surviving_rate_lower_bound(
+        g: EmbeddedGraph, classification: "classify.ClassificationReport",
+        instance: str = "") -> RateReport:
+    """Rate lower bound from replaying the dispatched per-start plans
+    under the classification context's schedule; starts labelled Y
+    contribute zero."""
+    schedule = classify.SCHEDULES[classification.context]
+    plan_for = strategies.theorem_dispatch(classification)
     saved: dict[int, int] = {}
     for v in range(g.n):
         if classification.side(v) == "Y":
@@ -155,33 +149,30 @@ def certify_bound(g: EmbeddedGraph, theorem: str, instance: str = "",
     """Certify one theorem bound on one instance, using the best
     available rate (exact when feasible, else the max of the trivial and
     the classification-based lower bounds)."""
-    if theorem not in THEOREMS:
-        raise BadParameter(f"unknown theorem {theorem!r}")
     if theorem == "k2n_upper":
         return _certify_k2n_upper(g, instance, node_limit)
-    schedule = SCHEDULES[theorem]
-    threshold = THRESHOLDS[theorem]
+    if theorem not in BOUNDS:
+        raise BadParameter(f"unknown theorem {theorem!r}")
+    context, threshold = BOUNDS[theorem]
+    schedule = classify.SCHEDULES[context]
     if g.n < 2:
         raise HypothesisViolated("need n >= 2")
     notes: dict = {}
     rate = trivial_rate_lower_bound(g, schedule)
     mode = "strategy_lower_bound"
+    report = None
     if theorem == "thm2_girth5":
         report = classify.classify_girth5(g)
-        lb = surviving_rate_lower_bound(g, schedule, report,
-                                        instance=instance)
-        notes["classification_rate"] = rational(lb.rate)
-        rate = max(rate, lb.rate)
     elif theorem == "thm3_planar":
         g.require_verified()
         if all(f.degree == 3 for f in g.faces()):
             report = classify.classify_planar(g)
-            lb = surviving_rate_lower_bound(g, schedule, report,
-                                            instance=instance)
-            notes["classification_rate"] = rational(lb.rate)
-            rate = max(rate, lb.rate)
     else:  # thm5_trianglefree
         g.require_triangle_free()
+    if report is not None:
+        lb = surviving_rate_lower_bound(g, report, instance=instance)
+        notes["classification_rate"] = rational(lb.rate)
+        rate = max(rate, lb.rate)
     if rate < threshold and g.n <= EXACT_RATE_MAX_N:
         exact = surviving_rate_exact(g, schedule, node_limit=node_limit,
                                      instance=instance)
@@ -203,9 +194,8 @@ def _certify_k2n_upper(g: EmbeddedGraph, instance: str,
     if not four_cycle and (g.n < 4 or len(hubs) != 2
                            or len(leaves) != g.n - 2 or g.has_edge(*hubs)):
         raise HypothesisViolated("graph is not a complete bipartite K_{2,m}")
-    schedule = SCHEDULES["k2n_upper"]
-    exact = surviving_rate_exact(g, schedule, node_limit=node_limit,
-                                 instance=instance)
+    exact = surviving_rate_exact(g, Schedule.constant(1),
+                                 node_limit=node_limit, instance=instance)
     threshold = Fraction(2, g.n)
     return Certificate(
         theorem="k2n_upper", instance=instance, n=g.n, rate=exact.rate,

@@ -5,7 +5,8 @@ each is a plan: the vertices to protect in rounds 1, 2, ..., computed from
 (graph, start) and replayed by ``engine.plan_strategy``.
 ``theorem_dispatch`` gives each start of a classification its plan: the
 witness of an exact resolution, a mapped grid plan, a configuration plan
-or a local plan; Y starts get the empty plan.
+or a local plan; Y starts get the empty plan.  The regime comes from the
+classification's context.
 
 The two grid plans are frozen coordinate-relative plans stored as packaged
 JSON (``plans/``).  Each plan file is integrity-checked by hash and guarded
@@ -45,8 +46,6 @@ PLAN_HASHES = {
 # budget protects in one round (in a triangulation it shares two
 # neighbours with the start)
 _SPARE_LIMIT = {"girth5_thm2": 3, "planar_thm3": 6}
-
-_GRID_RULES = {"hex_neighborhood": "hex", "rect_neighborhood": "rect"}
 
 
 # -- frozen lattice plans ---------------------------------------------------
@@ -133,20 +132,13 @@ def checked_grid_plan(g: EmbeddedGraph, start: int, lattice: str) -> Plan:
     return mapped
 
 
-def lattice_probes(g: EmbeddedGraph, start: int, schedule: Schedule,
-                   burn_cap: int) -> list[Decide]:
-    """Plan-replay probes for the containment solver; validity of any
-    probe outcome is re-checked by the solver's own simulation."""
-    probes = []
-    for name in ("hex_containment", "rect_containment"):
-        plan = load_plan(name)
-        if Schedule(*plan["schedule"]) != schedule or \
-                plan["burn_cap"] > burn_cap:
-            continue
-        mapped = mapped_plan(g, start, plan)
-        if mapped is not None:
-            probes.append(plan_strategy(mapped))
-    return probes
+def lattice_probes(g: EmbeddedGraph, start: int, lattice: str
+                   ) -> list[Decide]:
+    """The packaged ``lattice`` plan mapped around ``start`` as a probe
+    for the containment solver, or none where it does not map; the
+    solver's own simulation re-checks any probe outcome."""
+    mapped = mapped_plan(g, start, load_plan(f"{lattice}_containment"))
+    return [] if mapped is None else [plan_strategy(mapped)]
 
 
 # -- local plans ------------------------------------------------------------
@@ -201,14 +193,11 @@ def config_plan(g: EmbeddedGraph, start: int, config_id: str) -> Plan:
 
 # -- theorem dispatch -------------------------------------------------------
 
-def theorem_dispatch(context: str,
-                     classification: "classify.ClassificationReport"
+def theorem_dispatch(classification: "classify.ClassificationReport"
                      ) -> Callable[[EmbeddedGraph, int], Plan]:
     """``plan_for(g, start)``: each X start's evidence-matched containment
-    plan, and the empty plan for Y starts."""
-    if classification.context != context:
-        raise NotApplicable(
-            f"classification is for {classification.context}, not {context}")
+    plan, and the empty plan for Y starts; local plans follow the
+    classification's context."""
 
     def plan_for(g: EmbeddedGraph, start: int) -> Plan:
         if classification.side(start) == "Y":
@@ -217,10 +206,10 @@ def theorem_dispatch(context: str,
         if "trace" in ev:
             return SimTrace.from_json(ev["trace"], g.n).protection_plan()
         rule = ev["rule"]
-        if rule in _GRID_RULES:
-            return grid_plan(g, start, _GRID_RULES[rule])
+        if rule.endswith("_neighborhood"):
+            return grid_plan(g, start, rule.removesuffix("_neighborhood"))
         if rule.startswith("config_"):
             return config_plan(g, start, rule.removeprefix("config_"))
-        return local_plan(g, start, context)
+        return local_plan(g, start, classification.context)
 
     return plan_for

@@ -342,7 +342,7 @@ def insert_chord_reference(g, face, i, j):
     return build(rot, positions=g.positions)
 
 
-def insert_vertex_reference(g, face, attach_positions, position=None):
+def insert_vertex_reference(g, face, attach_positions):
     """Vertex insertion by copying and re-validating the whole graph."""
     b = face.boundary
     k = len(b)
@@ -354,11 +354,9 @@ def insert_vertex_reference(g, face, attach_positions, position=None):
     rot.append([b[p] for p in reversed(attach_positions)])
     pos = None
     if g.positions is not None:
-        if position is None:
-            xs = [g.positions[b[p]][0] for p in attach_positions]
-            ys = [g.positions[b[p]][1] for p in attach_positions]
-            position = (sum(xs) / len(xs), sum(ys) / len(ys))
-        pos = list(g.positions) + [position]
+        xs = [g.positions[b[p]][0] for p in attach_positions]
+        ys = [g.positions[b[p]][1] for p in attach_positions]
+        pos = list(g.positions) + [(sum(xs) / len(xs), sum(ys) / len(ys))]
     return build(rot, positions=pos)
 
 
@@ -491,7 +489,7 @@ def _config_reference(config_id):
             sched = Schedule.constant(2)
             res = min_burned_containment(
                 g, start, sched, burn_cap=18,
-                probes=lattice_probes(g, start, sched, 18))
+                probes=lattice_probes(g, start, "rect"))
             if not res.feasible:
                 raise NotApplicable(
                     f"no cap-18 containment from start {start}")

@@ -44,7 +44,7 @@ def test_criterion_1_hex_strategy_and_oracle():
     assert trace.burned_count <= 6
     res = min_burned_containment(
         g, 0, sched, burn_cap=6,
-        probes=strategies.lattice_probes(g, 0, sched, 6))
+        probes=strategies.lattice_probes(g, 0, "hex"))
     assert res.feasible and res.proven
     assert res.trace.burned_count <= 6
     assert time.monotonic() - t0 <= 60
@@ -117,7 +117,6 @@ def test_criterion_5_solver_matches_oracle(small_corpus):
 
 
 def test_criterion_6_girth5_pipeline():
-    sched = Schedule.constant(2)
     instances = [F.platonic("dodecahedron"), F.cycle(5), F.path(5)]
     instances += [randgen.random_girth5_planar(200, seed)
                   for seed in range(50)]
@@ -131,7 +130,7 @@ def test_criterion_6_girth5_pipeline():
         x = counts.get("X_2", 0) + counts.get("X_3", 0)
         assert y3 <= y4
         assert y3 + y4 <= 20 * x
-        lb = rates.surviving_rate_lower_bound(g, sched, rep)
+        lb = rates.surviving_rate_lower_bound(g, rep)
         assert lb.rate >= Fraction(g.n - 2, 21 * g.n)
         cert = rates.certify_bound(g, "thm2_girth5")
         assert cert.passed, g.rotations
@@ -172,7 +171,7 @@ def test_criterion_8_strategy_contracts():
             if g.n < 2:
                 continue
             rep = classifier(g)
-            plan_for = strategies.theorem_dispatch(context, rep)
+            plan_for = strategies.theorem_dispatch(rep)
             for v in rep.x_vertices():
                 # girth-5 X_2 starts burn alone (save n-1); X_3 starts burn
                 # at most one extra (save n-2); the other contexts promise

@@ -117,8 +117,8 @@ def test_insertion_wrappers_match_reference():
                           insert_chord_reference(g, face, 1, 5))
         assert_same_graph(insert_vertex_in_face(g, face, [0, 2, 7]),
                           insert_vertex_reference(g, face, [0, 2, 7]))
-        assert_same_graph(insert_vertex_in_face(g, face, [4], (9.0, 9.0)),
-                          insert_vertex_reference(g, face, [4], (9.0, 9.0)))
+        assert_same_graph(insert_vertex_in_face(g, face, [4]),
+                          insert_vertex_reference(g, face, [4]))
 
 
 def test_builder_faces_track_traced_faces():

@@ -3,16 +3,15 @@ import pytest
 from firecontain import classify, families as F, randgen
 from firecontain.augment import augment_maximal_planar
 from firecontain.classify import (
-    FIVE_ADJACENT,
-    FOUR_ADJACENT,
-    FOUR_OPPOSITE,
+    _opposite_partners,
     classify_girth5,
     classify_planar,
     classify_triangle_free,
     contiguous_elements,
     detect_local_configs,
+    five_adjacent,
+    four_adjacent,
     grid_neighborhood_test,
-    relation_flavors,
     special_sets,
     verify_structural_claims,
 )
@@ -30,27 +29,24 @@ from firecontain.errors import (
 def test_cube_edges_are_four_adjacent():
     g = F.platonic("cube")
     for u, v in g.edges():
-        rel = relation_flavors(g, u, v)
-        assert rel.flavors == frozenset([FOUR_ADJACENT])
-        assert len(rel.witness_faces) == 2
+        assert four_adjacent(g, u, v) and not five_adjacent(g, u, v)
 
 
 def test_k24_leaves_are_four_opposite():
     g = F.complete_bipartite_2_m(4)
     # consecutive leaves share a quadrilateral whose other corners are the
     # degree-4 hubs
-    rel = relation_flavors(g, 2, 3)
-    assert FOUR_OPPOSITE in rel.flavors
+    assert 3 in [u for u, _ in _opposite_partners(g, 2)]
     # the hubs are opposite across degree-2 leaves only: no flavour
-    assert relation_flavors(g, 0, 1).flavors == frozenset()
+    assert _opposite_partners(g, 0) == []
+    assert not four_adjacent(g, 0, 1) and not five_adjacent(g, 0, 1)
 
 
 def test_five_adjacent():
     # a 4-face glued to a larger face along an edge
     g = F.rect_grid(3, 2)
     # boundary edges of the grid lie on one 4-face and the outer face
-    rel = relation_flavors(g, 0, 1)
-    assert FIVE_ADJACENT in rel.flavors
+    assert five_adjacent(g, 0, 1)
 
 
 def test_contiguous_elements_cube():
@@ -298,7 +294,7 @@ def test_special_sets_shapes():
             assert len(partners) >= 3
             for u in partners:
                 assert rep.labels[u] == "Y_3"
-                assert FOUR_ADJACENT in relation_flavors(g, v, u).flavors
+                assert four_adjacent(g, v, u)
 
 
 def test_structural_claims_planar():

@@ -302,6 +302,8 @@ RENDER = ("render", "--family", "path:5", "--trace", "@trace.json",
      ("--config", "@cfg.json", "simulate", "--input", "@g.g6",
       "--format", "graph6", "--start", "0", "--k", "1")),
     ({}, ("--config", "@missing.json", *SOLVE)),
+    ({"cfg.json": '{"nod_limit": 0, "k": 1}'},
+     ("--config", "@cfg.json", *SOLVE)),
     ({}, ("solve", "--input", "@missing.json", "--format", "rotation_json",
           "--start", "0", "--k", "1")),
     ({"trace.json": '{"start": 0, "rounds": [], "saved": 5}'}, RENDER),
@@ -313,14 +315,24 @@ RENDER = ("render", "--family", "path:5", "--trace", "@trace.json",
      RENDER),
     ({"trace.json": '{"start": 0, "schedule": [1.5, 1], "rounds": [], '
                     '"saved": 4}'}, RENDER),
+    ({"trace.json": '{"start": 0, "schedule": [1, 1], "rounds": '
+                    '[{"protect": [1], "burned": []}], "saved": 0}'}, RENDER),
+    ({"trace.json": '{"start": 0, "schedule": [1, 1], "rounds": '
+                    '[{"protect": [1], "burned": []}], "saved": "x"}'},
+     RENDER),
+    ({"trace.json": '{"start": 0, "schedule": [1, 1], "rounds": '
+                    '[{"protect": [1, 2], "burned": []}], "saved": 4}'},
+     RENDER),
     ({"taken": ""}, ("generate", "--family", "cube", "--out", "@taken")),
-    ({"trace.json": '{"start": 0, "schedule": [1, 1], "rounds": [], '
-                    '"saved": 4}', "imgs": ""}, RENDER),
+    ({"trace.json": '{"start": 0, "schedule": [1, 1], "rounds": '
+                    '[{"protect": [1], "burned": []}], "saved": 4}',
+      "imgs": ""}, RENDER),
 ], ids=["config_k_one", "config_malformed", "config_not_object",
         "config_switch_string",
-        "config_missing", "input_missing", "trace_without_schedule",
-        "trace_not_json", "trace_start_99", "trace_burned_x",
-        "trace_schedule_float", "generate_out_is_file",
+        "config_missing", "config_unknown_key", "input_missing",
+        "trace_without_schedule", "trace_not_json", "trace_start_99",
+        "trace_burned_x", "trace_schedule_float", "trace_does_not_replay",
+        "trace_saved_not_int", "trace_over_budget", "generate_out_is_file",
         "render_out_is_file"])
 def test_bad_files_exit_2_with_json(tmp_path, capsys, files, argv):
     for name, text in files.items():

@@ -206,8 +206,7 @@ def test_s3_s4_arithmetic():
     assert g.degree(hub) == 5
     # a cycle vertex on both the pentagon and a quadrilateral at the hub
     v = next(u for u in g.adjacency[hub]
-             if classify.FIVE_ADJACENT in
-             classify.relation_flavors(g, hub, u).flavors)
+             if classify.five_adjacent(g, hub, u))
     assert g.degree(v) == 3
     rep = _fabricate("trianglefree_thm5", g, {v: "Y_3"})
     led = transfer_tf(g, init_tf_charges(g), rep)

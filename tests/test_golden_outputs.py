@@ -1,6 +1,7 @@
 """Golden outputs: sha256 digests of generated graphs, builder face lists,
-triangle-free classification/audit/certificate JSON, containment-search
-results on the region-enumeration corpus and CLI output on fixed seeds.
+triangle-free classification/audit/certificate JSON, girth-5 rate and
+certificate JSON, containment-search results on the region-enumeration
+corpus and CLI output on fixed seeds.
 A change to construction, classification, discharging or the search that
 is meant to keep every output byte-identical must keep these."""
 import hashlib
@@ -74,6 +75,30 @@ TF_OUTPUT_DIGESTS = {
         "dc59b5c333eb41ca0c059efd028c05e3a367059f940dc18a2b986a5e4706e8a3",
     ),
 }
+# seed of random_girth5_planar(200, seed) -> (classification lower-bound
+# report, thm2 certificate)
+GIRTH5_DIGESTS = {
+    0: ("fdb480465c26ca04e89e2c42e620267293b2cd1c43b8346082ce87bb6dae18c3",
+        "aed3aaaec00d5c13fce25ebf83df683bbcf68903e61672a95297eb7171fb0635"),
+    1: ("ffef7a48b0f2ca71b4a0d1e69893ae17c9571c33beb65c770b50b1f98772cdd9",
+        "e25d55adcce11c48a7d9222361686abbbf2768edc016c851449488e6fd123b70"),
+    2: ("be3dec5898af384cac71eb6b9cbf7694e80259408659ad0d2b66c4e407795f3e",
+        "1e1aec2a5da3e18768af349ee467819e7df6ed21df35713f75996b4778815c2c"),
+    3: ("52aaf44dda583c65477a8c7d7a8118bcb09174bc9c3e8df831a239f1436ef70d",
+        "c5a737eaf881153c4c2ebf0e6f5ea1e22dd00277fda0cb91839b52b3994dcd28"),
+    4: ("04583cdee8c1bc35f96cb4a31499012f23e3410ccce4680b687d38f4f0dceb21",
+        "e6cef36d7078c4249217118c67586f49eec4e9dcc56909e4e24fc9f3b3c5c473"),
+    5: ("bb2fd8e89eb23e6ccaea1f580d624aeddfb736fe8f6e2c17cafa05e013a48337",
+        "98a5925988b58561279e96cedcf222a50065515a4ec270fca38558891f4faac4"),
+    6: ("264b988ae628b255a0ad866948038db62058277dd23b78a0591aa085f082ffee",
+        "a3281513d59fa49f6813106667f93fe5cadab7254030ee77a96b904993cae686"),
+    7: ("c329f34d8857902836bb793beb1c553ada7b278b8aeb84d2644c815a9adfd850",
+        "d490a56ca56ffd6c3c03b31980afe21024a09d9cca4788e62a176d2f52e69131"),
+    8: ("4173ee50dd826bae0cc89e5a434ffc5fa283478d6d3a4eb695bf0e1751a23072",
+        "1843a32368d2f12407f5af29c877ffc71ab99360c630ed2744a283fd0ba3cb49"),
+    9: ("c8234d041d1dc0c599c6f8c89e01696e1a92a0d7704328383dfab1844872a832",
+        "165cd364298877df28416fea310279654d3b1bbb307450d326ba015577d95dfd"),
+}
 REGION_ENUM_DIGESTS = {
     "random_triangulation(16,1)":
         "3a06b61ca655f6dc95c6a52ad20427c979d9141c751b807a28051affedb98283",
@@ -100,6 +125,8 @@ CLI_DIGESTS = {
     "rate":
         "59be5a7ff26d90ac1353e6e6a3c2468efb007b6cfe8d4f06989fdaf75e620dd2",
 }
+CLI_THM2_DODECAHEDRON_DIGEST = \
+    "92ef018f33406b08c3ff42b17a583730b8dbb48e1c0a33bae96f8bf897c0607c"
 
 
 def _digest(obj) -> str:
@@ -150,6 +177,16 @@ def test_triangle_free_outputs():
     assert got == TF_OUTPUT_DIGESTS
 
 
+def test_girth5_outputs():
+    got = {}
+    for seed in range(10):
+        g = randgen.random_girth5_planar(200, seed)
+        lb = rates.surviving_rate_lower_bound(g, classify.classify_girth5(g))
+        cert = rates.certify_bound(g, "thm2_girth5")
+        got[seed] = (_digest(lb.to_json()), _digest(cert.to_json()))
+    assert got == GIRTH5_DIGESTS
+
+
 def test_region_enumeration_outputs():
     # status, nodes and witness of the containment DFS at every start of
     # the corpus that region enumeration was checked on, at a node limit
@@ -183,3 +220,12 @@ def test_cli_outputs(argv, tmp_path, capsys):
     obj.pop("instance", None)  # the input's path
     assert code == 0
     assert _digest(obj) == CLI_DIGESTS[argv[0]]
+
+
+def test_cli_thm2_output(capsys):
+    code = cli.main(["rate", "--theorem", "thm2_girth5",
+                     "--family", "dodecahedron"])
+    assert code == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["passed"] is True
+    assert _digest(obj) == CLI_THM2_DODECAHEDRON_DIGEST

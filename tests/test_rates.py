@@ -90,7 +90,7 @@ def test_trivial_lower_bound():
 def test_classification_lower_bound_girth5():
     g = F.platonic("dodecahedron")
     rep = classify.classify_girth5(g)
-    lb = surviving_rate_lower_bound(g, Schedule.constant(2), rep)
+    lb = surviving_rate_lower_bound(g, rep)
     # every X_3 start burns at most 2 vertices: rate >= 18/20 = 9/10
     assert lb.rate == Fraction(9, 10)
 
@@ -101,7 +101,7 @@ def test_classification_bound_never_exceeds_exact():
         if g.n < 2:
             continue
         rep = classify.classify_girth5(g)
-        lb = surviving_rate_lower_bound(g, Schedule.constant(2), rep)
+        lb = surviving_rate_lower_bound(g, rep)
         ex = surviving_rate_exact(g, Schedule.constant(2))
         assert lb.rate <= ex.rate
 
@@ -110,7 +110,7 @@ def test_certify_thm2():
     for g in (F.platonic("dodecahedron"), F.cycle(5), F.path(5)):
         cert = certify_bound(g, "thm2_girth5")
         assert cert.passed
-        assert cert.rate >= rates.THRESHOLDS["thm2_girth5"]
+        assert cert.rate >= rates.BOUNDS["thm2_girth5"][1]
         assert cert.direction == "lower"
     cert = certify_bound(F.platonic("dodecahedron"), "thm2_girth5")
     assert cert.rate == Fraction(9, 10)
@@ -125,7 +125,7 @@ def test_certify_thm2_formula_bound():
         if g.n < 3:
             continue
         rep = classify.classify_girth5(g)
-        lb = surviving_rate_lower_bound(g, Schedule.constant(2), rep)
+        lb = surviving_rate_lower_bound(g, rep)
         assert lb.rate >= Fraction(g.n - 2, 21 * g.n)
 
 

@@ -138,10 +138,10 @@ def test_rect_strategy_not_applicable_small_grid():
 def test_lattice_probes_schedule_filter():
     g = F.rect_grid(17, 17)
     centre = 8 * 17 + 8
-    probes = lattice_probes(g, centre, Schedule.constant(2), 18)
+    probes = lattice_probes(g, centre, "rect")
     assert probes  # the rect plan maps here
-    # schedule (4,3) filters the rect plan out, hex plan does not map
-    assert lattice_probes(g, centre, Schedule(4, 3), 18) == []
+    # the hex plan does not map around a degree-4 start
+    assert lattice_probes(g, centre, "hex") == []
 
 
 def test_mapped_plan_drops_missing_offsets():
@@ -197,7 +197,7 @@ def test_config_strategy_unknown_id():
 def test_dispatch_contracts_girth5():
     g = F.platonic("dodecahedron")
     rep = classify.classify_girth5(g)
-    plan_for = theorem_dispatch("girth5_thm2", rep)
+    plan_for = theorem_dispatch(rep)
     for v in range(g.n):
         t = replay(g, v, Schedule.constant(2), plan_for(g, v))
         assert t.burned_count <= 2  # X_3 contract: at most 2 burned
@@ -207,7 +207,7 @@ def test_dispatch_contracts_planar():
     for seed in range(3):
         g = randgen.random_triangulation(18, seed)
         rep = classify.classify_planar(g)
-        plan_for = theorem_dispatch("planar_thm3", rep)
+        plan_for = theorem_dispatch(rep)
         for v in rep.x_vertices():
             t = replay(g, v, Schedule(4, 3), plan_for(g, v))
             assert t.burned_count <= 6, (seed, v)
@@ -217,22 +217,16 @@ def test_dispatch_contracts_tf():
     for seed in range(3):
         g = randgen.random_tf_maximal(18, seed)
         rep = classify.classify_triangle_free(g)
-        plan_for = theorem_dispatch("trianglefree_thm5", rep)
+        plan_for = theorem_dispatch(rep)
         for v in rep.x_vertices():
             t = replay(g, v, Schedule.constant(2), plan_for(g, v))
             assert t.burned_count <= 18, (seed, v)
 
 
-def test_dispatch_context_mismatch():
-    rep = classify.classify_girth5(F.cycle(5))
-    with pytest.raises(NotApplicable):
-        theorem_dispatch("planar_thm3", rep)
-
-
 def test_strategies_never_beat_exact():
     g = F.platonic("icosahedron")
     rep = classify.classify_planar(g)
-    plan_for = theorem_dispatch("planar_thm3", rep)
+    plan_for = theorem_dispatch(rep)
     sched = Schedule(4, 3)
     for v in range(g.n):
         t = replay(g, v, sched, plan_for(g, v))
@@ -243,7 +237,7 @@ def test_containment_agrees_with_strategy_on_hex():
     g = F.hex_patch(4)
     res = min_burned_containment(
         g, 0, Schedule(4, 3), burn_cap=6,
-        probes=lattice_probes(g, 0, Schedule(4, 3), 6))
+        probes=lattice_probes(g, 0, "hex"))
     assert res.feasible and res.trace.burned_count <= 6
 
 
@@ -273,7 +267,7 @@ def _dispatch_cases():
 def test_plans_replay_like_the_decision_procedures():
     rules = set()
     for context, g, rep, sched, starts in _dispatch_cases():
-        plan_for = theorem_dispatch(context, rep)
+        plan_for = theorem_dispatch(rep)
         reference = dispatch_reference(context, rep)
         for v in starts or rep.x_vertices():
             want = run_simulation(g, v, sched, reference)
@@ -299,13 +293,13 @@ def test_dispatch_plans_low_degree_starts():
     # degree-1 ends of a path: the first budget covers the neighbourhood
     g = F.path(5)
     rep = classify.classify_triangle_free(g)
-    plan_for = theorem_dispatch("trianglefree_thm5", rep)
+    plan_for = theorem_dispatch(rep)
     for v in (0, 4):
         assert rep.labels[v] == "X_1"
         assert replay(g, v, Schedule.constant(2), plan_for(g, v)).saved == 4
     # every start of a triangle is X_2 under the planar schedule
     rep = classify.classify_planar(F.cycle(3))
-    plan_for = theorem_dispatch("planar_thm3", rep)
+    plan_for = theorem_dispatch(rep)
     assert [plan_for(F.cycle(3), v) for v in range(3)] == \
         [[[1, 2]], [[0, 2]], [[0, 1]]]
 
@@ -327,7 +321,7 @@ def test_tube_middles_get_exact_witnesses_not_the_grid_rule(
     rep = classify_fn[context](g)
     assert not any(ev["rule"] in ("hex_neighborhood", "rect_neighborhood")
                    for ev in rep.evidence.values())
-    plan_for = theorem_dispatch(context, rep)
+    plan_for = theorem_dispatch(rep)
     sched = classify.SCHEDULES[context]
     for v in middle:
         assert classify.grid_neighborhood_test(g, v, lattice) == (False, None)
