@@ -147,15 +147,20 @@ def _five_adjacent_vertices(g: EmbeddedGraph, v: int) -> list[int]:
 def detect_local_configs(g: EmbeddedGraph, v: int) -> list[ConfigMatch]:
     """All matching containment-friendly local patterns around a degree-3
     vertex of a triangle-free embedded graph."""
+    return list(_local_configs(g, v))
+
+
+def _local_configs(g: EmbeddedGraph, v: int):
+    """The matches of ``detect_local_configs``, in order, each found only
+    once the previous one is taken."""
     if g.degree(v) != 3:
         raise WrongContext(f"vertex {v} has degree {g.degree(v)}, need 3")
     g.require_verified()
-    out: list[ConfigMatch] = []
     nbrs = sorted(g.adjacency[v])
     # 3.1: a neighbour of degree <= 3
     for u in nbrs:
         if g.degree(u) <= 3:
-            out.append(ConfigMatch("3.1", v, {"vertex": u}))
+            yield ConfigMatch("3.1", v, {"vertex": u})
             break
     # 3.2: a degree-4 neighbour with another neighbour of degree <= 3
     for u in nbrs:
@@ -164,13 +169,13 @@ def detect_local_configs(g: EmbeddedGraph, v: int) -> list[ConfigMatch]:
         w = next((w for w in sorted(g.adjacency[u])
                   if w != v and g.degree(w) <= 3), None)
         if w is not None:
-            out.append(ConfigMatch("3.2", v, {"vertex": u, "low": w}))
+            yield ConfigMatch("3.2", v, {"vertex": u, "low": w})
             break
     opposites = _opposite_partners(g, v)
     # 3.3: 4-opposite to a vertex of degree <= 4
     for u, fid in opposites:
         if g.degree(u) <= 4:
-            out.append(ConfigMatch("3.3", v, {"vertex": u, "face": fid}))
+            yield ConfigMatch("3.3", v, {"vertex": u, "face": fid})
             break
     # 3.4: 4-opposite to a degree-5 vertex with a neighbour of degree <= 3
     for u, fid in opposites:
@@ -179,8 +184,8 @@ def detect_local_configs(g: EmbeddedGraph, v: int) -> list[ConfigMatch]:
         w = next((w for w in sorted(g.adjacency[u]) if g.degree(w) <= 3),
                  None)
         if w is not None:
-            out.append(ConfigMatch("3.4", v, {"vertex": u, "face": fid,
-                                              "low": w}))
+            yield ConfigMatch("3.4", v, {"vertex": u, "face": fid,
+                                         "low": w})
             break
     # 3.5: a degree-5 neighbour w with three consecutive neighbours of
     # degree <= 3 (v among them), the middle one 4-adjacent to w
@@ -200,7 +205,7 @@ def detect_local_configs(g: EmbeddedGraph, v: int) -> list[ConfigMatch]:
                 hit = window
                 break
         if hit is not None:
-            out.append(ConfigMatch("3.5", v, {"vertex": w, "window": hit}))
+            yield ConfigMatch("3.5", v, {"vertex": w, "window": hit})
             break
     # 3.6: 4-adjacent to a degree-6 vertex that is 4-adjacent to six
     # vertices of degree <= 3
@@ -212,9 +217,8 @@ def detect_local_configs(g: EmbeddedGraph, v: int) -> list[ConfigMatch]:
         sat = [w for w in sorted(g.adjacency[u])
                if g.degree(w) <= 3 and four_adjacent(g, u, w)]
         if len(sat) >= 6:
-            out.append(ConfigMatch("3.6", v, {"vertex": u, "low": sat}))
+            yield ConfigMatch("3.6", v, {"vertex": u, "low": sat})
             break
-    return out
 
 
 def _opposite_partners(g: EmbeddedGraph, v: int) -> list[tuple[int, int]]:
@@ -366,7 +370,7 @@ def classify_triangle_free(g: EmbeddedGraph, mode: str = "exact",
     g.require_triangle_free()
     return _classify(g, "trianglefree_thm5", mode, node_limit, lambda v: next(
         ({"rule": f"config_{c.config}", "witness": c.witness}
-         for c in detect_local_configs(g, v)), None))
+         for c in _local_configs(g, v)), None))
 
 
 def _classify(g, context, mode, node_limit, local_rule
@@ -375,7 +379,8 @@ def _classify(g, context, mode, node_limit, local_rule
     vertex of degree above D is Y and below D - 1 is X; at D - 1 it is X
     on the evidence ``local_rule(v)`` gives, if any, and at D if it
     passes the grid test.  Every other vertex goes to the containment
-    search within the context's burn cap."""
+    search within the context's burn cap, which at D first tries the
+    lattice plan mapped through the same grid ball."""
     lattice = CLASSIFY[context][0]
     top = len(GRID_LATTICES[lattice][0])
     labels: dict[int, str] = {}
@@ -386,28 +391,29 @@ def _classify(g, context, mode, node_limit, local_rule
             labels[v] = f"Y_{d}"
             evidence[v] = {"rule": f"degree_ge_{top + 1}"}
             continue
+        offsets = None
         if d < top - 1:
             ev = {"rule": f"degree_le_{top - 2}"}
         elif d == top - 1:
             ev = local_rule(v)
-        elif grid_neighborhood_test(g, v, lattice)[0]:
-            ev = {"rule": f"{lattice}_neighborhood"}
         else:
-            ev = None
+            offsets, esc = grid_ball(g, v, lattice)
+            pure = esc is None and offsets is not None
+            ev = {"rule": f"{lattice}_neighborhood"} if pure else None
         if ev is None:
             labels[v], evidence[v] = _resolve_exact(
-                g, v, d, mode, context, node_limit)
+                g, v, d, mode, context, node_limit, offsets)
         else:
             labels[v], evidence[v] = f"X_{d}", ev
     return ClassificationReport(context, mode, labels, evidence)
 
 
-def _resolve_exact(g, v, d, mode, context, node_limit):
+def _resolve_exact(g, v, d, mode, context, node_limit, offsets):
     if mode != "exact":
         return f"Y_{d}", {"rule": "unmatched"}
     from . import strategies  # deferred: strategies imports this module
     lattice, burn_cap = CLASSIFY[context]
-    probes = strategies.lattice_probes(g, v, lattice)
+    probes = strategies.lattice_probes(offsets, lattice)
     res = min_burned_containment(g, v, SCHEDULES[context], burn_cap=burn_cap,
                                  node_limit=node_limit, probes=probes)
     if res.status == "feasible":

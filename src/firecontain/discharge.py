@@ -16,6 +16,7 @@ conservation check stays exact.
 """
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -294,14 +295,18 @@ def _audit(g, ledger, classification, *, total, x_bound, factor, below,
     context's own violations."""
     violations = []
     strict = True
+    # an int charge is below a bound iff it is below the bound's ceiling,
+    # so only fractional charges are compared with the Fraction bounds
+    x_ceil, y_ceil = math.ceil(x_bound), math.ceil(ledger.alpha)
     for v in range(g.n):
         c = ledger.vertex_charge[v]
+        frac = type(c) is not int
         if classification.side(v) == "X":
-            if c < x_bound:
+            if c < (x_bound if frac else x_ceil):
                 violations.append(("vertex", v, "x_bound", c))
             elif c == x_bound:
                 strict = False
-        elif c < ledger.alpha:
+        elif c < (ledger.alpha if frac else y_ceil):
             violations.append(("vertex", v, "y_bound", c))
     violations.extend(("face", f, "face_bound", c)
                       for f, c in ledger.face_charge.items() if c < 0)

@@ -1,8 +1,13 @@
 """Embedded planar graphs given by rotation systems.
 
 A graph is stored as one cyclic neighbour list per vertex.  A built graph
-stores no faces: they are traced on first use with the next-edge-in-rotation
-rule and carry stable ids only within a single trace.  During construction,
+stores no faces: on first use they are traced once, with the
+next-edge-in-rotation rule, into a flat dart table.  Dart (u, v) gets the
+id ``off[u] + i``, v being ``rotations[u][i]``; the successor of (u, v)
+on its face is (v, w), w the neighbour after u around v; and each dart
+records the id of its face.  ``faces()``, ``edge_faces`` and
+``incident_faces`` are read from the table.  Face ids are stable only
+within a single trace.  During construction,
 ``augment.DartBuilder`` keeps the face list up to date, in the same order
 and with the same starts as that trace, so generating or augmenting a graph
 never re-traces it.
@@ -87,7 +92,13 @@ class EmbeddedGraph:
     def neighbour_masks(self) -> tuple[int, ...]:
         """Bit mask of each vertex's neighbours: bit u of entry v is set
         iff u is adjacent to v."""
-        return tuple(sum(1 << u for u in r) for r in self.rotations)
+        out = []
+        for r in self.rotations:
+            mask = 0
+            for u in r:
+                mask |= 1 << u
+            out.append(mask)
+        return tuple(out)
 
     @cached_property
     def num_edges(self) -> int:
@@ -124,70 +135,61 @@ class EmbeddedGraph:
             raise ContainsTriangle("graph contains a triangle")
 
     @cached_property
-    def _faces(self) -> tuple[Face, ...]:
+    def _darts(self) -> tuple[dict[int, int], list[int], list[int],
+                              tuple[Face, ...]]:
+        """The dart table: ``index[u * n + v]`` is the id of dart (u, v),
+        ``off[u]`` that of u's first dart, ``face`` the face id of each
+        dart; and the faces, traced in dart order."""
+        rot, n = self.rotations, self.n
+        tails = [u for u, r in enumerate(rot) for _ in r]
+        heads = [v for r in rot for v in r]
+        index = {u * n + v: d for d, (u, v) in enumerate(zip(tails, heads))}
+        # the successor of (u, v) is (v, w), w the next of u around v
+        off = [0] * (n + 1)
+        nxt = [d + 1 for d in range(len(heads))]
+        for u, r in enumerate(rot):
+            off[u + 1] = off[u] + len(r)
+            if r:
+                nxt[off[u + 1] - 1] = off[u]
+        succ = [nxt[index[v * n + u]] for u, v in zip(tails, heads)]
+        face = [-1] * len(heads)
         faces = []
-        # position of u in rotations[v], for O(1) successor lookup
-        pos = [
-            {u: i for i, u in enumerate(rot)} for rot in self.rotations
-        ]
-        seen: set[tuple[int, int]] = set()
-        for start_u in range(self.n):
-            for start_v in self.rotations[start_u]:
-                if (start_u, start_v) in seen:
-                    continue
-                walk = []
-                u, v = start_u, start_v
-                while (u, v) not in seen:
-                    seen.add((u, v))
-                    walk.append(u)
-                    i = pos[v][u]
-                    w = self.rotations[v][(i + 1) % len(self.rotations[v])]
-                    u, v = v, w
-                if (u, v) != (start_u, start_v):
+        for d0 in range(len(heads)):
+            if face[d0] < 0:
+                walk, d = [], d0
+                while face[d] < 0:
+                    face[d] = len(faces)
+                    walk.append(tails[d])
+                    d = succ[d]
+                if d != d0:
                     raise EmbeddingInconsistent("face walk does not close")
                 faces.append(Face(len(faces), tuple(walk)))
         residual = self.n - self.num_edges + len(faces) - 2
         if residual != 0:
             raise EmbeddingInconsistent(
                 f"Euler residual {residual} != 0; not a sphere embedding")
-        return tuple(faces)
+        return index, off, face, tuple(faces)
 
     def faces(self) -> tuple[Face, ...]:
         """Trace all faces; each directed edge is used exactly once."""
         self.require_verified()
-        return self._faces
-
-    @cached_property
-    def _edge_faces(self) -> dict[tuple[int, int], list[Face]]:
-        """Map each undirected edge to its (one or two) incident faces."""
-        out: dict[tuple[int, int], list[Face]] = {}
-        for f in self.faces():
-            b = f.boundary
-            for i, u in enumerate(b):
-                v = b[(i + 1) % len(b)]
-                key = (min(u, v), max(u, v))
-                out.setdefault(key, []).append(f)
-        return out
+        return self._darts[3]
 
     def edge_faces(self, u: int, v: int) -> list[Face]:
-        return self._edge_faces[(min(u, v), max(u, v))]
-
-    @cached_property
-    def _vertex_faces(self) -> tuple[tuple[Face, ...], ...]:
-        inc: list[list[Face]] = [[] for _ in range(self.n)]
-        for f in self.faces():
-            counted = set()
-            for v in f.boundary:
-                # a face may touch a vertex several times on its walk; for
-                # incidence we count it once
-                if v not in counted:
-                    inc[v].append(f)
-                    counted.add(v)
-        return tuple(tuple(fs) for fs in inc)
+        """The faces of darts (u, v) and (v, u), by id: one face twice at
+        a bridge."""
+        self.require_verified()
+        index, _, face, faces = self._darts
+        a, b = sorted((face[index[u * self.n + v]],
+                       face[index[v * self.n + u]]))
+        return [faces[a], faces[b]]
 
     def incident_faces(self, v: int) -> tuple[Face, ...]:
+        """The faces of the darts leaving v, by id; a walk that passes v
+        several times is listed once."""
         self.require_verified()
-        return self._vertex_faces[v]
+        _, off, face, faces = self._darts
+        return tuple(faces[f] for f in sorted(set(face[off[v]:off[v + 1]])))
 
     # -- metrics -------------------------------------------------------------
 
@@ -231,8 +233,8 @@ class EmbeddedGraph:
 
     @cached_property
     def _triangle_free(self) -> bool:
-        adj = self.adjacency
-        return not any(adj[u] & adj[v] for u, v in self.edges())
+        masks = self.neighbour_masks
+        return not any(masks[u] & masks[v] for u, v in self.edges())
 
     # -- symmetry ------------------------------------------------------------
 

@@ -4,14 +4,19 @@ Round convention: the fire ignites at round 0; firefighters act at rounds
 1, 2, ... before each spread.  Protecting fewer vertices than the budget
 (including none) is legal.
 
-Simulation: ``advance_round`` is the one round step.  A ``FireState``
-carries the free part of N(burning), its frontier, from round to round:
-after a spread the old frontier is burning or protected, so the new
-frontier is the free neighbours of the newly burned vertices alone, and a
-round costs the fire's growth, not the whole burning set.  The cheap
-probes of ``min_burned_containment`` run on the same loop but stop as soon
-as the burned count passes the cap or a round would begin past the round
-bound: both counts only grow, so such a probe could never be accepted.
+Simulation: ``advance_round`` is the one round step, and
+``run_simulation`` the one loop over it; the containment probes call it
+with a burn cap and a round bound.  A ``FireState`` holds its burning
+and protected sets and its frontier, the free part of N(burning), as
+``int`` masks over ``g.neighbour_masks``.  After a spread the old
+frontier is burning or protected, so the new frontier is the free part
+of the neighbour masks of the newly burned vertices alone, and a round
+costs the fire's growth, not the whole burning set.  The built-in
+strategies read the masks; a custom strategy may read ``burning`` and
+``protected`` as frozensets, made on first access.  A capped run stops
+as soon as the burned count passes the cap or a round would begin past
+the round bound: both counts only grow, so such a probe could never be
+accepted.
 
 Exact search: both searches hold vertex sets as ``int`` masks on one
 bitset layer, with the neighbour masks cached on the graph.
@@ -46,7 +51,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 from .embedding import EmbeddedGraph
@@ -75,18 +81,32 @@ class Schedule:
         return [self.first, self.rest]
 
 
-@dataclass(frozen=True)
 class FireState:
-    """The fire after ``round`` rounds.  ``front``, the unprotected,
-    unburned neighbours of the burning set, is carried by
-    ``advance_round``; a state built without it (``ignite``) gets it from
-    the burning set when first needed."""
+    """The fire after ``round`` rounds, on bit masks (bit v for vertex
+    v): the burning and the protected vertices, and ``front_mask``, the
+    unprotected, unburned neighbours of the burning set.  The front is
+    carried by ``advance_round``; a state built without it (``ignite``)
+    gets it from the burning set when first needed.  ``burning`` and
+    ``protected`` are the same sets as frozensets, made on first access,
+    for strategies that want sets."""
 
-    burning: frozenset[int]
-    protected: frozenset[int]
-    round: int
-    front: Optional[frozenset[int]] = field(default=None, compare=False,
-                                            repr=False)
+    __slots__ = ("burning_mask", "protected_mask", "round", "front_mask",
+                 "__dict__")
+
+    def __init__(self, burning_mask: int, protected_mask: int, round: int,
+                 front_mask: Optional[int] = None):
+        self.burning_mask = burning_mask
+        self.protected_mask = protected_mask
+        self.round = round
+        self.front_mask = front_mask
+
+    @cached_property
+    def burning(self) -> frozenset[int]:
+        return frozenset(_vertices(self.burning_mask))
+
+    @cached_property
+    def protected(self) -> frozenset[int]:
+        return frozenset(_vertices(self.protected_mask))
 
 
 @dataclass(frozen=True)
@@ -154,23 +174,16 @@ Decide = Callable[[EmbeddedGraph, FireState, int], Iterable[int]]
 
 
 def ignite(start: int) -> FireState:
-    return FireState(frozenset([start]), frozenset(), 0)
+    return FireState(1 << start, 0, 0)
 
 
-def frontier(g: EmbeddedGraph, burning: frozenset[int],
-             protected: frozenset[int]) -> set[int]:
-    """Unprotected, unburned neighbours of the burning set."""
-    out: set[int] = set()
-    for u in burning:
-        out.update(g.adjacency[u])
-    return out - burning - protected
-
-
-def _front(g: EmbeddedGraph, state: FireState) -> frozenset[int]:
-    """The state's frontier, carried or else taken from its burning set."""
-    if state.front is not None:
-        return state.front
-    return frozenset(frontier(g, state.burning, state.protected))
+def _front(g: EmbeddedGraph, state: FireState) -> int:
+    """The state's frontier mask, carried or else taken from its burning
+    set."""
+    if state.front_mask is not None:
+        return state.front_mask
+    return (_neighbourhood(g.neighbour_masks, state.burning_mask)
+            & ~(state.burning_mask | state.protected_mask))
 
 
 def advance_round(g: EmbeddedGraph, state: FireState,
@@ -178,40 +191,34 @@ def advance_round(g: EmbeddedGraph, state: FireState,
     """Apply one round: protections first, then the fire spreads to all
     unprotected, unburned neighbours of burning vertices.  The frontier
     that was not protected burns, so the next frontier is the free part of
-    the adjacency of the newly burned vertices."""
-    prot = frozenset(protections)
+    the neighbourhood of the newly burned vertices."""
+    prot = set(protections)
     if len(prot) > budget:
         raise StrategyBudgetViolation(
             f"{len(prot)} protections exceed budget {budget}")
-    clash = prot & (state.burning | state.protected)
+    bits = 0
+    for v in prot:
+        bits |= 1 << v
+    clash = bits & (state.burning_mask | state.protected_mask)
     if clash:
         raise StrategyBudgetViolation(
-            f"cannot protect burning/protected vertices {sorted(clash)}")
-    newly = _front(g, state) - prot
-    burning = state.burning | newly
-    protected = state.protected | prot
-    front: set[int] = set()
-    for u in newly:
-        front.update(g.adjacency[u])
-    front -= burning
-    front -= protected
-    return FireState(burning, protected, state.round + 1, frozenset(front))
+            f"cannot protect burning/protected vertices {_vertices(clash)}")
+    newly = _front(g, state) & ~bits
+    burning = state.burning_mask | newly
+    protected = state.protected_mask | bits
+    front = _neighbourhood(g.neighbour_masks, newly) & ~(burning | protected)
+    return FireState(burning, protected, state.round + 1, front)
 
 
 def run_simulation(g: EmbeddedGraph, start: int, schedule: Schedule,
-                   strategy: Decide) -> SimTrace:
-    """Run the process until no burning vertex has a free neighbour."""
-    return _simulate(g, start, schedule, strategy, math.inf, math.inf)
-
-
-def _simulate(g: EmbeddedGraph, start: int, schedule: Schedule,
-              strategy: Decide, burn_cap: float, round_bound: float
-              ) -> Optional[SimTrace]:
-    """``run_simulation``, or None once more than ``burn_cap`` vertices
-    burn or a round past ``round_bound`` would begin.  A round's budget
-    and clash checks come before the cut."""
+                   strategy: Decide, burn_cap: float = math.inf,
+                   round_bound: float = math.inf) -> Optional[SimTrace]:
+    """Run the process until no burning vertex has a free neighbour; or
+    return None once more than ``burn_cap`` vertices burn or a round past
+    ``round_bound`` would begin.  A round's budget and clash checks come
+    before the cut."""
     state = ignite(start)
-    rounds: list[RoundRecord] = []
+    rounds = []  # (protections, burned mask) per round
     while front := _front(g, state):
         round_no = state.round + 1
         if round_no > round_bound:
@@ -219,12 +226,13 @@ def _simulate(g: EmbeddedGraph, start: int, schedule: Schedule,
         budget = schedule.budget(round_no)
         prot = sorted(set(strategy(g, state, budget)))
         state = advance_round(g, state, prot, budget)
-        rounds.append(RoundRecord(tuple(prot),
-                                  tuple(sorted(front.difference(prot)))))
-        if len(state.burning) > burn_cap:
+        rounds.append((tuple(prot), front & ~state.protected_mask))
+        if state.burning_mask.bit_count() > burn_cap:
             return None
-    return SimTrace(start=start, schedule=schedule, rounds=tuple(rounds),
-                    saved=g.n - len(state.burning), n=g.n)
+    return SimTrace(start=start, schedule=schedule, rounds=tuple(
+        RoundRecord(prot, tuple(_vertices(burned)))
+        for prot, burned in rounds),
+        saved=g.n - state.burning_mask.bit_count(), n=g.n)
 
 
 def plan_strategy(plan: Sequence[Sequence[int]]) -> Decide:
@@ -232,8 +240,8 @@ def plan_strategy(plan: Sequence[Sequence[int]]) -> Decide:
     def decide(g: EmbeddedGraph, state: FireState, budget: int) -> list[int]:
         round_no = state.round + 1
         if round_no <= len(plan):
-            return [v for v in plan[round_no - 1]
-                    if v not in state.burning and v not in state.protected]
+            blocked = state.burning_mask | state.protected_mask
+            return [v for v in plan[round_no - 1] if not blocked >> v & 1]
         return []
     return decide
 
@@ -254,14 +262,15 @@ def greedy_frontier_strategy(key: str = "degree") -> Decide:
     """Protect the most dangerous frontier vertices first.  Cheap probe used
     to seed incumbents; makes no guarantee."""
     def decide(g: EmbeddedGraph, state: FireState, budget: int) -> list[int]:
-        cand = _front(g, state)
+        # ascending, so the stable sort breaks ties by the least vertex
+        cand = _vertices(_front(g, state))
         if key == "degree":
-            score = lambda v: (-g.degree(v), v)
+            rot = g.rotations
+            score = lambda v: -len(rot[v])
         else:  # "spread": free neighbours the vertex would ignite
-            free = lambda v: sum(1 for w in g.adjacency[v]
-                                 if w not in state.burning
-                                 and w not in state.protected)
-            score = lambda v: (-free(v), v)
+            masks = g.neighbour_masks
+            free = ~(state.burning_mask | state.protected_mask)
+            score = lambda v: -(masks[v] & free).bit_count()
         return sorted(cand, key=score)[:budget]
     return decide
 
@@ -299,17 +308,20 @@ def _vertices(x: int) -> list[int]:
     """The vertices of bit mask ``x``, ascending."""
     out = []
     while x:
-        low = x & -x
-        out.append(low.bit_length() - 1)
-        x ^= low
+        v = x.bit_length() - 1
+        out.append(v)
+        x ^= 1 << v
+    out.reverse()
     return out
 
 
 def _neighbourhood(masks: Sequence[int], x: int) -> int:
     """N(x): the union of the neighbour masks of the vertices of ``x``."""
     out = 0
-    for v in _vertices(x):
+    while x:
+        v = x.bit_length() - 1
         out |= masks[v]
+        x ^= 1 << v
     return out
 
 
@@ -528,7 +540,7 @@ def min_burned_containment(
     # can no longer meet the cap.
     trivial = (null_strategy,) if g.n <= burn_cap else ()
     for probe in trivial + tuple(probes) + DEFAULT_PROBES:
-        t = _simulate(g, start, schedule, probe, burn_cap, burn_cap)
+        t = run_simulation(g, start, schedule, probe, burn_cap, burn_cap)
         if t is not None:
             return ContainmentResult("feasible", trace=t, proven=True)
     return _contain_by_dfs(g, start, schedule, burn_cap, burn_cap,

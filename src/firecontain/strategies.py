@@ -101,7 +101,11 @@ def lattice_map(g: EmbeddedGraph, start: int, lattice: str
 def mapped_plan(g: EmbeddedGraph, start: int, plan: dict) -> Optional[Plan]:
     """Translate a plan's offsets to vertex ids around ``start``; offsets
     that fall outside the graph are dropped (the fire cannot go there)."""
-    at = lattice_map(g, start, plan["lattice"])
+    return _through(lattice_map(g, start, plan["lattice"]), plan)
+
+
+def _through(at: Optional[dict], plan: dict) -> Optional[Plan]:
+    """``plan`` with each offset replaced by its vertex in ``at``."""
     if at is None:
         return None
     return [[at[c] for c in rnd if c in at] for rnd in plan["rounds"]]
@@ -132,12 +136,12 @@ def checked_grid_plan(g: EmbeddedGraph, start: int, lattice: str) -> Plan:
     return mapped
 
 
-def lattice_probes(g: EmbeddedGraph, start: int, lattice: str
-                   ) -> list[Decide]:
-    """The packaged ``lattice`` plan mapped around ``start`` as a probe
-    for the containment solver, or none where it does not map; the
-    solver's own simulation re-checks any probe outcome."""
-    mapped = mapped_plan(g, start, load_plan(f"{lattice}_containment"))
+def lattice_probes(at: Optional[dict], lattice: str) -> list[Decide]:
+    """The packaged ``lattice`` plan mapped through ``at``, the offsets of
+    a start's ``classify.grid_ball``, as a probe for the containment
+    solver, or none where the ball has no offsets; the solver's own
+    simulation re-checks any probe outcome."""
+    mapped = _through(at, load_plan(f"{lattice}_containment"))
     return [] if mapped is None else [plan_strategy(mapped)]
 
 

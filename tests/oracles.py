@@ -7,7 +7,7 @@ import itertools
 import random
 
 from firecontain.classify import EscapePath
-from firecontain.embedding import build
+from firecontain.embedding import Face, build
 from firecontain.engine import (
     DEFAULT_PROBES,
     ContainmentResult,
@@ -16,19 +16,80 @@ from firecontain.engine import (
     Schedule,
     SimTrace,
     SnResult,
-    frontier,
     ignite,
     min_burned_containment,
     null_strategy,
     plan_strategy,
     run_simulation,
 )
-from firecontain.errors import NotApplicable, StrategyBudgetViolation
+from firecontain.errors import (
+    EmbeddingInconsistent,
+    NotApplicable,
+    StrategyBudgetViolation,
+)
 from firecontain.families import HEX_DIRS, RECT_DIRS, cycle
-from firecontain.strategies import lattice_probes, load_plan, mapped_plan
+from firecontain.strategies import (
+    lattice_map,
+    lattice_probes,
+    load_plan,
+    mapped_plan,
+)
+
+
+# -- the face tracer that the dart table replaced -----------------------------
+
+def faces_reference(g):
+    """(faces, edge -> faces, vertex -> faces) of ``g``, traced through
+    per-vertex position dicts and a set of seen darts, with each edge's
+    faces and each vertex's faces collected in two more passes over the
+    boundaries."""
+    pos = [{u: i for i, u in enumerate(rot)} for rot in g.rotations]
+    seen = set()
+    faces = []
+    for start_u in range(g.n):
+        for start_v in g.rotations[start_u]:
+            if (start_u, start_v) in seen:
+                continue
+            walk = []
+            u, v = start_u, start_v
+            while (u, v) not in seen:
+                seen.add((u, v))
+                walk.append(u)
+                i = pos[v][u]
+                w = g.rotations[v][(i + 1) % len(g.rotations[v])]
+                u, v = v, w
+            if (u, v) != (start_u, start_v):
+                raise EmbeddingInconsistent("face walk does not close")
+            faces.append(Face(len(faces), tuple(walk)))
+    residual = g.n - g.num_edges + len(faces) - 2
+    if residual != 0:
+        raise EmbeddingInconsistent(
+            f"Euler residual {residual} != 0; not a sphere embedding")
+    edge_faces = {}
+    vertex_faces = [[] for _ in range(g.n)]
+    for f in faces:
+        b = f.boundary
+        for i, u in enumerate(b):
+            v = b[(i + 1) % len(b)]
+            edge_faces.setdefault((min(u, v), max(u, v)), []).append(f)
+        for v in dict.fromkeys(b):
+            vertex_faces[v].append(f)
+    return tuple(faces), edge_faces, [tuple(fs) for fs in vertex_faces]
 
 
 # -- the round engine that re-unions the frontier every round ----------------
+
+def frontier(g, burning, protected):
+    """Unprotected, unburned neighbours of the burning set."""
+    out = set()
+    for u in burning:
+        out.update(g.adjacency[u])
+    return out - burning - protected
+
+
+def _mask(vertices):
+    return sum(1 << v for v in vertices)
+
 
 def run_simulation_reference(g, start, schedule, strategy):
     """``engine.run_simulation`` without a carried frontier: every round
@@ -59,7 +120,8 @@ def _advance_round_reference(g, state, protections, budget):
             f"cannot protect burning/protected vertices {sorted(clash)}")
     protected = state.protected | prot
     newly = frontier(g, state.burning, protected)
-    return FireState(state.burning | newly, protected, state.round + 1)
+    return FireState(_mask(state.burning | newly), _mask(protected),
+                     state.round + 1)
 
 
 def sn_reference(g, start, schedule):
@@ -489,7 +551,8 @@ def _config_reference(config_id):
             sched = Schedule.constant(2)
             res = min_burned_containment(
                 g, start, sched, burn_cap=18,
-                probes=lattice_probes(g, start, "rect"))
+                probes=lattice_probes(lattice_map(g, start, "rect"),
+                                      "rect"))
             if not res.feasible:
                 raise NotApplicable(
                     f"no cap-18 containment from start {start}")

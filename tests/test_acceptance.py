@@ -44,7 +44,8 @@ def test_criterion_1_hex_strategy_and_oracle():
     assert trace.burned_count <= 6
     res = min_burned_containment(
         g, 0, sched, burn_cap=6,
-        probes=strategies.lattice_probes(g, 0, "hex"))
+        probes=strategies.lattice_probes(
+            strategies.lattice_map(g, 0, "hex"), "hex"))
     assert res.feasible and res.proven
     assert res.trace.burned_count <= 6
     assert time.monotonic() - t0 <= 60

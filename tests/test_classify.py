@@ -328,3 +328,29 @@ def test_report_json_round_trip():
     obj = json.loads(json.dumps(rep.to_json(), sort_keys=True))
     assert obj["counts"] == {"X_3": 20}
     assert obj["context"] == "girth5_thm2"
+
+
+def test_classification_walks_each_ball_once_and_stops_at_the_first_config(
+        monkeypatch):
+    g = randgen.random_tf_maximal(200, 11)
+    deg3 = [v for v in g.vertices() if g.degree(v) == 3]
+    late = [v for v in deg3 if not any(
+        m.config in ("3.1", "3.2") for m in detect_local_configs(g, v))]
+    want = classify_triangle_free(g).to_json()
+    walked, opposite = [], []
+    walk, partners = classify.grid_ball, classify._opposite_partners
+
+    def counted_walk(g_, v, lattice):
+        walked.append(v)
+        return walk(g_, v, lattice)
+
+    def counted_partners(g_, v):
+        opposite.append(v)
+        return partners(g_, v)
+
+    monkeypatch.setattr(classify, "grid_ball", counted_walk)
+    monkeypatch.setattr(classify, "_opposite_partners", counted_partners)
+    assert classify_triangle_free(g).to_json() == want
+    assert walked == [v for v in g.vertices() if g.degree(v) == 4]
+    assert opposite == late
+    assert 0 < len(late) < len(deg3)

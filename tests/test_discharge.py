@@ -297,6 +297,36 @@ def test_audit_tf_random():
         assert audit.counting_factor == (2 + TF_BETA) / TF_ALPHA == 723626
 
 
+# charges about the bounds: ints, and fractions over the bounds' denominators
+NEAR_BOUNDS = st.one_of(
+    st.integers(-5, 2),
+    st.builds(Fraction, st.integers(-5 * 360720, 2 * 360720),
+              st.sampled_from([1, 3, 360720])))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.booleans(), NEAR_BOUNDS), min_size=8,
+                max_size=8),
+       st.sampled_from([TF_ALPHA, Fraction(1, 2), Fraction(1)]),
+       st.sampled_from([TF_BETA, Fraction(0), Fraction(1, 3), Fraction(1)]))
+def test_audit_bounds_match_exact_comparisons(rows, alpha, beta):
+    g = F.platonic("cube")
+    rep = _fabricate("trianglefree_thm5", g,
+                     {v: "Y_3" for v, (x, _) in enumerate(rows) if not x})
+    led = ChargeLedger("trianglefree_nu",
+                       {v: c for v, (_, c) in enumerate(rows)}, {},
+                       alpha, beta)
+    audit = audit_tf(g, led, rep)
+    x_bound = -2 - beta
+    assert audit.bound_violations == [
+        ("vertex", v, "x_bound" if x else "y_bound", c)
+        for v, (x, c) in enumerate(rows)
+        if (Fraction(c) < x_bound if x else Fraction(c) < alpha)]
+    assert audit.strict_x_bound == all(
+        Fraction(c) != x_bound for x, c in rows
+        if x and not Fraction(c) < x_bound)
+
+
 def test_audit_detects_bound_violation():
     g = F.platonic("icosahedron")
     # mislabelling every vertex Y makes the constant -1 charge violate the

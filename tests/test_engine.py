@@ -1,6 +1,9 @@
 import json
+import math
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_connected_graph
 from firecontain import engine, families as F, randgen
@@ -9,7 +12,6 @@ from firecontain.engine import (
     Schedule,
     SimTrace,
     advance_round,
-    frontier,
     ignite,
     min_burned_containment,
     null_strategy,
@@ -19,9 +21,15 @@ from firecontain.engine import (
     sn_exact,
 )
 from firecontain.errors import StrategyBudgetViolation
-from firecontain.strategies import lattice_probes, load_plan, mapped_plan
+from firecontain.strategies import (
+    lattice_map,
+    lattice_probes,
+    load_plan,
+    mapped_plan,
+)
 from oracles import (
     containment_reference,
+    frontier,
     run_simulation_reference,
     sn_reference,
 )
@@ -223,6 +231,57 @@ def test_budget_violations_match_the_reference_round_engine():
                 _violation(run_simulation_reference, g, start, strategy)
 
 
+_SMALL_GRAPHS = (F.path(6), F.star(5), F.rect_grid(5, 5), F.hex_patch(2),
+                 randgen.random_triangulation(30, 1),
+                 randgen.random_tf_maximal(30, 1))
+
+
+def _random_strategy(seed, fault):
+    """Random protections of free vertices, at most the budget; with
+    probability ``fault`` a round also names a burning or protected
+    vertex, repeats one, or spends one more than the budget."""
+    rng = random.Random(seed)
+
+    def decide(g, state, budget):
+        free = sorted(set(g.vertices()) - state.burning - state.protected)
+        picks = rng.sample(free, min(len(free), rng.randint(0, budget)))
+        if rng.random() < fault:
+            kind = rng.choice(("burning", "protected", "repeat", "over"))
+            if kind == "burning":
+                picks.append(rng.choice(sorted(state.burning)))
+            elif kind == "protected" and state.protected:
+                picks.append(rng.choice(sorted(state.protected)))
+            elif kind == "repeat" and picks:
+                picks.append(picks[0])
+            elif kind == "over":
+                picks = free[:budget + 1]
+        return picks
+    return decide
+
+
+def _outcome(simulate, g, start, schedule, strategy):
+    try:
+        return simulate(g, start, schedule, strategy)
+    except StrategyBudgetViolation as err:
+        return str(err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=st.integers(0, len(_SMALL_GRAPHS) - 1), data=st.data(),
+       first=st.integers(0, 3), rest=st.integers(0, 3),
+       seed=st.integers(0, 2**32 - 1), fault=st.sampled_from([0, 0.1, 0.5]))
+def test_mask_engine_matches_the_reference_under_random_strategies(
+        graph, data, first, rest, seed, fault):
+    g = _SMALL_GRAPHS[graph]
+    start = data.draw(st.integers(0, g.n - 1))
+    sched = Schedule(first, rest)
+    got = _outcome(run_simulation, g, start, sched,
+                   _random_strategy(seed, fault))
+    want = _outcome(run_simulation_reference, g, start, sched,
+                    _random_strategy(seed, fault))
+    assert got == want
+
+
 @pytest.mark.parametrize("burn_cap", [6], ids=["6-None"])
 def test_probe_stops_at_the_caps(burn_cap):
     # without firefighters the greedy probes burn the whole grid, so every
@@ -243,7 +302,8 @@ def test_probe_stops_at_the_caps(burn_cap):
     assert 1 <= len(calls) <= burn_cap
 
 
-def _capped_reference(g, start, schedule, strategy, burn_cap, round_bound):
+def _capped_reference(g, start, schedule, strategy, burn_cap=math.inf,
+                      round_bound=math.inf):
     t = run_simulation_reference(g, start, schedule, strategy)
     if t.burned_count <= burn_cap and len(t.rounds) <= round_bound:
         return t
@@ -251,11 +311,12 @@ def _capped_reference(g, start, schedule, strategy, burn_cap, round_bound):
 
 
 def _containment_outcomes(g, sched, cap, node_limit):
+    lattice = "hex" if cap == 6 else "rect"
     out = []
     for start in range(g.n):
         res = min_burned_containment(
             g, start, sched, burn_cap=cap, node_limit=node_limit,
-            probes=lattice_probes(g, start, "hex" if cap == 6 else "rect"))
+            probes=lattice_probes(lattice_map(g, start, lattice), lattice))
         out.append((res.status, res.nodes,
                     None if res.trace is None else res.trace.to_json()))
     return out
@@ -276,5 +337,5 @@ def test_probe_cut_off_keeps_every_containment_result(
     gen, n, seed = graph
     g = getattr(randgen, gen)(n, seed)
     got = _containment_outcomes(g, sched, cap, node_limit)
-    monkeypatch.setattr(engine, "_simulate", _capped_reference)
+    monkeypatch.setattr(engine, "run_simulation", _capped_reference)
     assert got == _containment_outcomes(g, sched, cap, node_limit)

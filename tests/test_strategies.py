@@ -138,10 +138,10 @@ def test_rect_strategy_not_applicable_small_grid():
 def test_lattice_probes_schedule_filter():
     g = F.rect_grid(17, 17)
     centre = 8 * 17 + 8
-    probes = lattice_probes(g, centre, "rect")
+    probes = lattice_probes(lattice_map(g, centre, "rect"), "rect")
     assert probes  # the rect plan maps here
     # the hex plan does not map around a degree-4 start
-    assert lattice_probes(g, centre, "hex") == []
+    assert lattice_probes(lattice_map(g, centre, "hex"), "hex") == []
 
 
 def test_mapped_plan_drops_missing_offsets():
@@ -237,7 +237,7 @@ def test_containment_agrees_with_strategy_on_hex():
     g = F.hex_patch(4)
     res = min_burned_containment(
         g, 0, Schedule(4, 3), burn_cap=6,
-        probes=lattice_probes(g, 0, "hex"))
+        probes=lattice_probes(lattice_map(g, 0, "hex"), "hex"))
     assert res.feasible and res.trace.burned_count <= 6
 
 
