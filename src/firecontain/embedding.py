@@ -92,13 +92,7 @@ class EmbeddedGraph:
     def neighbour_masks(self) -> tuple[int, ...]:
         """Bit mask of each vertex's neighbours: bit u of entry v is set
         iff u is adjacent to v."""
-        out = []
-        for r in self.rotations:
-            mask = 0
-            for u in r:
-                mask |= 1 << u
-            out.append(mask)
-        return tuple(out)
+        return tuple(sum(1 << u for u in r) for r in self.rotations)
 
     @cached_property
     def num_edges(self) -> int:

@@ -6,17 +6,16 @@ Round convention: the fire ignites at round 0; firefighters act at rounds
 
 Simulation: ``advance_round`` is the one round step, and
 ``run_simulation`` the one loop over it; the containment probes call it
-with a burn cap and a round bound.  A ``FireState`` holds its burning
-and protected sets and its frontier, the free part of N(burning), as
-``int`` masks over ``g.neighbour_masks``.  After a spread the old
+with a burn cap.  A ``FireState`` holds its burning and protected sets
+and its frontier, the free part of N(burning), as ``int`` masks over
+``g.neighbour_masks``.  After a spread the old
 frontier is burning or protected, so the new frontier is the free part
 of the neighbour masks of the newly burned vertices alone, and a round
 costs the fire's growth, not the whole burning set.  The built-in
 strategies read the masks; a custom strategy may read ``burning`` and
 ``protected`` as frozensets, made on first access.  A capped run stops
-as soon as the burned count passes the cap or a round would begin past
-the round bound: both counts only grow, so such a probe could never be
-accepted.
+as soon as the burned count passes the cap: the count only grows, so
+such a probe could never be accepted.
 
 Exact search: both searches hold vertex sets as ``int`` masks on one
 bitset layer, with the neighbour masks cached on the graph.
@@ -211,18 +210,15 @@ def advance_round(g: EmbeddedGraph, state: FireState,
 
 
 def run_simulation(g: EmbeddedGraph, start: int, schedule: Schedule,
-                   strategy: Decide, burn_cap: float = math.inf,
-                   round_bound: float = math.inf) -> Optional[SimTrace]:
+                   strategy: Decide, burn_cap: float = math.inf
+                   ) -> Optional[SimTrace]:
     """Run the process until no burning vertex has a free neighbour; or
-    return None once more than ``burn_cap`` vertices burn or a round past
-    ``round_bound`` would begin.  A round's budget and clash checks come
-    before the cut."""
+    return None once more than ``burn_cap`` vertices burn.  A round's
+    budget and clash checks come before the cut."""
     state = ignite(start)
     rounds = []  # (protections, burned mask) per round
     while front := _front(g, state):
         round_no = state.round + 1
-        if round_no > round_bound:
-            return None
         budget = schedule.budget(round_no)
         prot = sorted(set(strategy(g, state, budget)))
         state = advance_round(g, state, prot, budget)
@@ -540,7 +536,7 @@ def min_burned_containment(
     # can no longer meet the cap.
     trivial = (null_strategy,) if g.n <= burn_cap else ()
     for probe in trivial + tuple(probes) + DEFAULT_PROBES:
-        t = run_simulation(g, start, schedule, probe, burn_cap, burn_cap)
+        t = run_simulation(g, start, schedule, probe, burn_cap)
         if t is not None:
             return ContainmentResult("feasible", trace=t, proven=True)
     return _contain_by_dfs(g, start, schedule, burn_cap, burn_cap,

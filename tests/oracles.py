@@ -11,12 +11,10 @@ from firecontain.embedding import Face, build
 from firecontain.engine import (
     DEFAULT_PROBES,
     ContainmentResult,
-    FireState,
     RoundRecord,
     Schedule,
     SimTrace,
     SnResult,
-    ignite,
     min_burned_containment,
     null_strategy,
     plan_strategy,
@@ -91,11 +89,23 @@ def _mask(vertices):
     return sum(1 << v for v in vertices)
 
 
+class _ReferenceState:
+    """The reference's fire state: ``burning`` and ``protected`` held as
+    frozensets, with the masks that the built-in strategies read made
+    from them here, and no carried frontier."""
+
+    def __init__(self, burning, protected, round):
+        self.burning, self.protected, self.round = burning, protected, round
+        self.burning_mask = _mask(burning)
+        self.protected_mask = _mask(protected)
+        self.front_mask = None
+
+
 def run_simulation_reference(g, start, schedule, strategy):
     """``engine.run_simulation`` without a carried frontier: every round
     takes the frontier from the whole burning set, and the strategy sees
     states that carry none."""
-    state = ignite(start)
+    state = _ReferenceState(frozenset([start]), frozenset(), 0)
     rounds = []
     while frontier(g, state.burning, state.protected):
         round_no = state.round + 1
@@ -120,8 +130,7 @@ def _advance_round_reference(g, state, protections, budget):
             f"cannot protect burning/protected vertices {sorted(clash)}")
     protected = state.protected | prot
     newly = frontier(g, state.burning, protected)
-    return FireState(_mask(state.burning | newly), _mask(protected),
-                     state.round + 1)
+    return _ReferenceState(state.burning | newly, protected, state.round + 1)
 
 
 def sn_reference(g, start, schedule):

@@ -302,12 +302,9 @@ def test_probe_stops_at_the_caps(burn_cap):
     assert 1 <= len(calls) <= burn_cap
 
 
-def _capped_reference(g, start, schedule, strategy, burn_cap=math.inf,
-                      round_bound=math.inf):
+def _capped_reference(g, start, schedule, strategy, burn_cap=math.inf):
     t = run_simulation_reference(g, start, schedule, strategy)
-    if t.burned_count <= burn_cap and len(t.rounds) <= round_bound:
-        return t
-    return None
+    return t if t.burned_count <= burn_cap else None
 
 
 def _containment_outcomes(g, sched, cap, node_limit):
