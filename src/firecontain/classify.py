@@ -255,11 +255,13 @@ class EscapePath:
 
 
 def grid_neighborhood_test(g: EmbeddedGraph, v: int, kind: str
-                           ) -> tuple[bool, Optional[EscapePath]]:
-    """True iff v's ``grid_ball`` has lattice offsets and no escape path;
-    otherwise the escape path, if any, is returned."""
+                           ) -> tuple[bool, Optional[EscapePath],
+                                      Optional[dict]]:
+    """Whether v's ``grid_ball`` is pure: it has lattice offsets and no
+    escape path; then the ball's escape path and offsets, as it gives
+    them."""
     offsets, esc = grid_ball(g, v, kind)
-    return esc is None and offsets is not None, esc
+    return esc is None and offsets is not None, esc, offsets
 
 
 def grid_ball(g: EmbeddedGraph, v: int, lattice: str
@@ -397,8 +399,7 @@ def _classify(g, context, mode, node_limit, local_rule
         elif d == top - 1:
             ev = local_rule(v)
         else:
-            offsets, esc = grid_ball(g, v, lattice)
-            pure = esc is None and offsets is not None
+            pure, _, offsets = grid_neighborhood_test(g, v, lattice)
             ev = {"rule": f"{lattice}_neighborhood"} if pure else None
         if ev is None:
             labels[v], evidence[v] = _resolve_exact(

@@ -129,7 +129,9 @@ def _apply_config(args, subparser, given) -> None:
     flag text; config values replace defaults.  A key that names no flag
     of the subcommand is a BadParameter."""
     actions = {a.dest: a for a in subparser._actions}
-    config = _read(args.config, "--config", lambda b: dict(json.loads(b)))
+    config = _read(args.config, "--config", json.loads)
+    if type(config) is not dict:
+        raise BadParameter(f"--config {args.config}: needs a JSON object")
     for key, value in config.items():
         attr = key.replace("-", "_")
         if attr in given:

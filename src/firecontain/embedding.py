@@ -308,37 +308,29 @@ def build(
     Rejects loops, repeated neighbours, asymmetric adjacency and
     disconnected input.
     """
-    rot = [tuple(r) for r in rotations]
-    n = len(rot)
+    g = EmbeddedGraph(rotations, embedding_verified=embedding_verified,
+                      positions=positions)
+    n, adj = g.n, g.adjacency
     if n == 0:
         raise Disconnected("empty graph")
-    for v, r in enumerate(rot):
-        if v in r:
+    for v, r in enumerate(g.rotations):
+        if v in adj[v]:
             raise LoopOrMultiEdge(f"loop at vertex {v}")
-        if len(set(r)) != len(r):
+        if len(adj[v]) != len(r):
             raise LoopOrMultiEdge(f"repeated neighbour at vertex {v}")
         for u in r:
             if not (0 <= u < n):
                 raise AsymmetricAdjacency(
                     f"vertex {v} lists out-of-range neighbour {u}")
-    sets = [set(r) for r in rot]
-    for v, r in enumerate(rot):
+    for v, r in enumerate(g.rotations):
         for u in r:
-            if v not in sets[u]:
+            if v not in adj[u]:
                 raise AsymmetricAdjacency(
                     f"{v} lists {u} but {u} does not list {v}")
-    # connectivity
-    seen = {0}
-    queue = [0]
-    for u in queue:
-        for w in rot[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    if len(seen) != n:
-        raise Disconnected(f"only {len(seen)} of {n} vertices reachable")
-    return EmbeddedGraph(rot, embedding_verified=embedding_verified,
-                         positions=positions)
+    unreached = g.distances_from(0).count(-1)
+    if unreached:
+        raise Disconnected(f"only {n - unreached} of {n} vertices reachable")
+    return g
 
 
 @dataclass(frozen=True)

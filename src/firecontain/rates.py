@@ -115,9 +115,6 @@ def trivial_rate_lower_bound(g: EmbeddedGraph, schedule: Schedule
     return Fraction(g.n * per_start, g.n * g.n)
 
 
-EXACT_RATE_MAX_N = 12
-
-
 @dataclass
 class Certificate:
     theorem: str
@@ -146,9 +143,9 @@ class Certificate:
 
 def certify_bound(g: EmbeddedGraph, theorem: str, instance: str = "",
                   node_limit: int = 10_000_000) -> Certificate:
-    """Certify one theorem bound on one instance, using the best
-    available rate (exact when feasible, else the max of the trivial and
-    the classification-based lower bounds)."""
+    """Certify one theorem bound on one instance by the max of the
+    trivial and the classification-based lower bounds; ``node_limit``
+    bounds the exact search of ``k2n_upper``."""
     if theorem == "k2n_upper":
         return _certify_k2n_upper(g, instance, node_limit)
     if theorem not in BOUNDS:
@@ -159,7 +156,6 @@ def certify_bound(g: EmbeddedGraph, theorem: str, instance: str = "",
         raise HypothesisViolated("need n >= 2")
     notes: dict = {}
     rate = trivial_rate_lower_bound(g, schedule)
-    mode = "strategy_lower_bound"
     report = None
     if theorem == "thm2_girth5":
         report = classify.classify_girth5(g)
@@ -173,13 +169,8 @@ def certify_bound(g: EmbeddedGraph, theorem: str, instance: str = "",
         lb = surviving_rate_lower_bound(g, report, instance=instance)
         notes["classification_rate"] = rational(lb.rate)
         rate = max(rate, lb.rate)
-    if rate < threshold and g.n <= EXACT_RATE_MAX_N:
-        exact = surviving_rate_exact(g, schedule, node_limit=node_limit,
-                                     instance=instance)
-        if not exact.partial:
-            rate, mode = exact.rate, "exact"
     return Certificate(theorem=theorem, instance=instance, n=g.n, rate=rate,
-                       mode=mode, threshold=threshold,
+                       mode="strategy_lower_bound", threshold=threshold,
                        passed=rate >= threshold, direction="lower",
                        notes=notes)
 

@@ -3,10 +3,11 @@
 Every strategy of the lower bounds is fixed once the start is known, so
 each is a plan: the vertices to protect in rounds 1, 2, ..., computed from
 (graph, start) and replayed by ``engine.plan_strategy``.
-``theorem_dispatch`` gives each start of a classification its plan: the
-witness of an exact resolution, a mapped grid plan, a configuration plan
-or a local plan; Y starts get the empty plan.  The regime comes from the
-classification's context.
+``theorem_dispatch`` reads each X start's plan from its classification
+evidence, which already names it: the witness of an exact resolution, the
+mapped grid plan of a grid rule, the whole neighbourhood, or all of it but
+the evidence's spared vertex; the other local configurations take the
+witness of the cap-18 containment search.  Y starts get the empty plan.
 
 The two grid plans are frozen coordinate-relative plans stored as packaged
 JSON (``plans/``).  Each plan file is integrity-checked by hash and guarded
@@ -41,11 +42,6 @@ PLAN_HASHES = {
     "rect_containment":
         "61f11162c72afea4899311bb6310c9017a50dbe6ae7bc0f5ffd8f5bedaff2ff0",
 }
-
-# the largest degree of a spared neighbour whose free neighbours the later
-# budget protects in one round (in a triangulation it shares two
-# neighbours with the start)
-_SPARE_LIMIT = {"girth5_thm2": 3, "planar_thm3": 6}
 
 
 # -- frozen lattice plans ---------------------------------------------------
@@ -127,7 +123,7 @@ def checked_grid_plan(g: EmbeddedGraph, start: int, lattice: str) -> Plan:
     8 rounds."""
     name = f"{lattice}_containment"
     try:
-        ok, _ = classify.grid_neighborhood_test(g, start, lattice)
+        ok = classify.grid_neighborhood_test(g, start, lattice)[0]
     except FireContainError:
         ok = False
     mapped = _guaranteed(g, start, load_plan(name)) if ok else None
@@ -145,47 +141,18 @@ def lattice_probes(at: Optional[dict], lattice: str) -> list[Decide]:
     return [] if mapped is None else [plan_strategy(mapped)]
 
 
-# -- local plans ------------------------------------------------------------
+# -- plans read from the evidence -------------------------------------------
 
-def _spare_one_plan(g: EmbeddedGraph, start: int, limit: int) -> Plan:
-    """Round 1 protects every neighbour of ``start`` but the least one, u,
-    of degree at most ``limit``; round 2 protects the neighbours of u that
-    the fire reaches next."""
-    u = next((u for u in sorted(g.adjacency[start]) if g.degree(u) <= limit),
-             None)
-    if u is None:
-        raise NotApplicable(
-            f"no neighbour of start {start} has degree <= {limit}")
+def _spare_one_plan(g: EmbeddedGraph, start: int, u: int) -> Plan:
+    """Round 1 protects every neighbour of ``start`` but u; round 2
+    protects the neighbours of u that the fire reaches next."""
     return [sorted(g.adjacency[start] - {u}),
             sorted(g.adjacency[u] - {start} - g.adjacency[start])]
 
 
-def local_plan(g: EmbeddedGraph, start: int, context: str) -> Plan:
-    """The cheap per-class containment moves: protect the whole first
-    neighbourhood when the first budget covers it, or, one neighbour
-    short of that, spare a low-degree neighbour and close in around it."""
-    first = classify.SCHEDULES[context].first
-    if g.degree(start) <= first:
-        return [sorted(g.adjacency[start])]
-    if g.degree(start) == first + 1 and context in _SPARE_LIMIT:
-        return _spare_one_plan(g, start, _SPARE_LIMIT[context])
-    raise NotApplicable(
-        f"no local plan for {context} start {start} of degree "
-        f"{g.degree(start)}")
-
-
-def config_plan(g: EmbeddedGraph, start: int, config_id: str) -> Plan:
-    """Two-firefighter containment from a degree-3 start matching local
-    configuration ``config_id``.  Config 3.1 spares its low neighbour;
-    the other plans are found per instance by the cap-18 containment
-    search."""
-    if g.degree(start) != 3 or not any(
-            m.config == config_id
-            for m in classify.detect_local_configs(g, start)):
-        raise NotApplicable(
-            f"config {config_id!r} does not match start {start}")
-    if config_id == "3.1":
-        return _spare_one_plan(g, start, 3)
+def _searched_plan(g: EmbeddedGraph, start: int) -> Plan:
+    """The witness of the cap-18 two-firefighter containment search, for
+    the local configurations whose plans depend on the instance."""
     context = "trianglefree_thm5"
     cap = classify.CLASSIFY[context][1]
     res = min_burned_containment(g, start, classify.SCHEDULES[context],
@@ -199,9 +166,9 @@ def config_plan(g: EmbeddedGraph, start: int, config_id: str) -> Plan:
 
 def theorem_dispatch(classification: "classify.ClassificationReport"
                      ) -> Callable[[EmbeddedGraph, int], Plan]:
-    """``plan_for(g, start)``: each X start's evidence-matched containment
-    plan, and the empty plan for Y starts; local plans follow the
-    classification's context."""
+    """``plan_for(g, start)``: the plan each X start's evidence names, and
+    the empty plan for Y starts.  An evidence rule with no plan is
+    NotApplicable."""
 
     def plan_for(g: EmbeddedGraph, start: int) -> Plan:
         if classification.side(start) == "Y":
@@ -212,8 +179,14 @@ def theorem_dispatch(classification: "classify.ClassificationReport"
         rule = ev["rule"]
         if rule.endswith("_neighborhood"):
             return grid_plan(g, start, rule.removesuffix("_neighborhood"))
+        if rule.startswith("degree_le_"):  # the first budget covers it
+            return [sorted(g.adjacency[start])]
+        if rule in ("low_degree_neighbor", "degree5_low_neighbor"):
+            return _spare_one_plan(g, start, ev["vertex"])
+        if rule == "config_3.1":
+            return _spare_one_plan(g, start, ev["witness"]["vertex"])
         if rule.startswith("config_"):
-            return config_plan(g, start, rule.removeprefix("config_"))
-        return local_plan(g, start, classification.context)
+            return _searched_plan(g, start)
+        raise NotApplicable(f"no plan for rule {rule!r} at start {start}")
 
     return plan_for

@@ -114,10 +114,10 @@ def test_config_32_witness_consistency():
 
 def test_hex_grid_test():
     g = F.hex_patch(4)
-    ok, esc = grid_neighborhood_test(g, 0, "hex")
+    ok, esc, _ = grid_neighborhood_test(g, 0, "hex")
     assert ok and esc is None
     g2 = F.hex_patch(2)
-    ok, esc = grid_neighborhood_test(g2, 0, "hex")
+    ok, esc, _ = grid_neighborhood_test(g2, 0, "hex")
     assert not ok
     assert esc.length <= 3
     assert esc.path[0] == 0
@@ -128,10 +128,10 @@ def test_hex_grid_test():
 def test_rect_grid_test():
     g = F.rect_grid(17, 17)
     centre = 8 * 17 + 8
-    ok, esc = grid_neighborhood_test(g, centre, "rect")
+    ok, esc, _ = grid_neighborhood_test(g, centre, "rect")
     assert ok and esc is None
     g2 = F.rect_grid(9, 9)
-    ok, esc = grid_neighborhood_test(g2, 4 * 9 + 4, "rect")
+    ok, esc, _ = grid_neighborhood_test(g2, 4 * 9 + 4, "rect")
     assert not ok
     assert esc.length <= 7
     # escape ends at a non-degree-4 vertex or donates through a big face

@@ -298,6 +298,8 @@ RENDER = ("render", "--family", "path:5", "--trace", "@trace.json",
     ({"cfg.json": '{"k": "one"}'}, ("--config", "@cfg.json", *SOLVE)),
     ({"cfg.json": '{"k": 1'}, ("--config", "@cfg.json", *SOLVE)),
     ({"cfg.json": '[1]'}, ("--config", "@cfg.json", *SOLVE)),
+    ({"cfg.json": '[["k", 1]]'}, ("--config", "@cfg.json", *SOLVE)),
+    ({"cfg.json": '[[1, 2]]'}, ("--config", "@cfg.json", *SOLVE)),
     ({"cfg.json": '{"allow-unverified": "false"}', "g.g6": "Ch"},
      ("--config", "@cfg.json", "simulate", "--input", "@g.g6",
       "--format", "graph6", "--start", "0", "--k", "1")),
@@ -328,7 +330,7 @@ RENDER = ("render", "--family", "path:5", "--trace", "@trace.json",
                     '[{"protect": [1], "burned": []}], "saved": 4}',
       "imgs": ""}, RENDER),
 ], ids=["config_k_one", "config_malformed", "config_not_object",
-        "config_switch_string",
+        "config_pairs", "config_int_pairs", "config_switch_string",
         "config_missing", "config_unknown_key", "input_missing",
         "trace_without_schedule", "trace_not_json", "trace_start_99",
         "trace_burned_x", "trace_schedule_float", "trace_does_not_replay",

@@ -36,7 +36,7 @@ def test_ball_walk_equals_the_reference_walks(make):
     for v in g.vertices():
         for lat, (dirs, _) in GRID_LATTICES.items():
             if g.degree(v) == len(dirs):
-                ok, esc = grid_neighborhood_test(g, v, lat)
+                ok, esc, _ = grid_neighborhood_test(g, v, lat)
                 ref = ESCAPE_REFERENCES[lat](g, v)
                 assert esc == ref
                 assert ok == (ref is None and
@@ -79,7 +79,7 @@ def test_pure_starts_keep_the_plan_guarantee(grid):
     for v in g.vertices():
         if g.degree(v) != len(GRID_LATTICES[lattice][0]):
             continue
-        ok, esc = grid_neighborhood_test(g, v, lattice)
+        ok, esc, _ = grid_neighborhood_test(g, v, lattice)
         if ok:
             assert strategies._guaranteed(g, v, plan) is not None
         elif esc is not None:

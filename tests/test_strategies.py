@@ -16,11 +16,9 @@ from firecontain.errors import (
 )
 from firecontain.strategies import (
     checked_grid_plan,
-    config_plan,
     lattice_map,
     lattice_probes,
     load_plan,
-    local_plan,
     mapped_plan,
     theorem_dispatch,
 )
@@ -155,43 +153,62 @@ def test_mapped_plan_drops_missing_offsets():
     assert sum(len(r) for r in mapped) <= total_cells
 
 
-def test_degree_local_strategies():
-    g = F.path(5)
-    t = replay(g, 2, Schedule.constant(2), local_plan(g, 2, "girth5_thm2"))
-    assert t.burned_count == 1
-    g = F.platonic("dodecahedron")
-    t = replay(g, 0, Schedule.constant(2), local_plan(g, 0, "girth5_thm2"))
-    assert t.burned_count <= 2
-    g = F.platonic("icosahedron")
-    t = replay(g, 0, Schedule(4, 3), local_plan(g, 0, "planar_thm3"))
-    assert t.burned_count <= 6
-    g = F.star(10)  # centre 0 of degree 9
-    with pytest.raises(NotApplicable):
-        local_plan(g, 0, "planar_thm3")
+# burn cap of each context's X starts (girth 5: the X_3 contract)
+CAPS = {"girth5_thm2": 2, "planar_thm3": 6, "trianglefree_thm5": 18}
 
 
-def test_config_strategy_31():
-    g = F.platonic("cube")
-    t = replay(g, 0, Schedule.constant(2), config_plan(g, 0, "3.1"))
-    assert t.burned_count <= 18
+def test_dispatch_reads_local_plans_from_evidence():
+    cases = [(F.path(5), classify.classify_girth5),
+             (F.platonic("dodecahedron"), classify.classify_girth5),
+             (F.platonic("icosahedron"), classify.classify_planar),
+             (F.platonic("cube"), classify.classify_triangle_free)]
+    rules = set()
+    for g, classify_fn in cases:
+        rep = classify_fn(g)
+        plan_for = theorem_dispatch(rep)
+        for v in rep.x_vertices():
+            ev, plan = rep.evidence[v], plan_for(g, v)
+            rules.add(ev["rule"])
+            if ev["rule"].startswith("degree_le_"):
+                assert plan == [sorted(g.adjacency[v])]
+            else:
+                spared = ev.get("witness", ev)["vertex"]
+                assert spared in g.adjacency[v] and spared not in plan[0]
+            t = replay(g, v, classify.SCHEDULES[rep.context], plan)
+            assert t.burned_count <= CAPS[rep.context], (rep.context, v)
+    assert rules == {"degree_le_2", "low_degree_neighbor",
+                     "degree5_low_neighbor", "config_3.1"}
 
 
-def test_config_strategy_applicability_and_search():
+def test_config_starts_are_feasible_at_cap_18():
+    # the dispatcher's search plan exists at every config-matching start
     for seed in range(5):
         g = randgen.random_tf_maximal(16, seed)
         for v in range(g.n):
-            if g.degree(v) != 3:
-                continue
-            for m in classify.detect_local_configs(g, v):
-                t = replay(g, v, Schedule.constant(2),
-                           config_plan(g, v, m.config))
-                assert t.burned_count <= 18
-                assert len(t.rounds) <= 18
+            if g.degree(v) == 3 and classify.detect_local_configs(g, v):
+                res = min_burned_containment(g, v, Schedule.constant(2),
+                                             burn_cap=18)
+                assert res.status == "feasible", (seed, v)
 
 
-def test_config_strategy_unknown_id():
-    with pytest.raises(NotApplicable):
-        config_plan(F.platonic("cube"), 0, "9.9")
+def test_dispatch_rejects_a_rule_without_a_plan():
+    rep = classify.ClassificationReport(
+        "trianglefree_thm5", "exact", {0: "X_3"}, {0: {"rule": "bogus"}})
+    with pytest.raises(NotApplicable, match="bogus"):
+        theorem_dispatch(rep)(F.platonic("cube"), 0)
+
+
+def test_dispatch_does_not_match_configurations_again(monkeypatch):
+    g = randgen.random_tf_maximal(60, 3)
+    rep = classify.classify_triangle_free(g)
+    calls = []
+    configs = classify._local_configs
+    monkeypatch.setattr(classify, "_local_configs",
+                        lambda g, v: calls.append(v) or configs(g, v))
+    plan_for = theorem_dispatch(rep)
+    for v in rep.x_vertices():
+        plan_for(g, v)
+    assert calls == []
 
 
 def test_dispatch_contracts_girth5():
@@ -324,7 +341,8 @@ def test_tube_middles_get_exact_witnesses_not_the_grid_rule(
     plan_for = theorem_dispatch(rep)
     sched = classify.SCHEDULES[context]
     for v in middle:
-        assert classify.grid_neighborhood_test(g, v, lattice) == (False, None)
+        assert classify.grid_neighborhood_test(g, v, lattice) == \
+            (False, None, None)
         assert lattice_map(g, v, lattice) is None
         assert rep.side(v) == "X" and rep.evidence[v]["rule"] == "exact"
         trace = replay(g, v, sched, plan_for(g, v))
