@@ -157,11 +157,10 @@ def test_mapped_plan_drops_missing_offsets():
 CAPS = {"girth5_thm2": 2, "planar_thm3": 6, "trianglefree_thm5": 18}
 
 
-def test_dispatch_reads_local_plans_from_evidence():
-    cases = [(F.path(5), classify.classify_girth5),
-             (F.platonic("dodecahedron"), classify.classify_girth5),
-             (F.platonic("icosahedron"), classify.classify_planar),
-             (F.platonic("cube"), classify.classify_triangle_free)]
+def dispatched_local_rules(cases):
+    # each X start's plan is read from its evidence: degree_le_* protects
+    # the whole neighbourhood, a spare plan leaves the evidence's vertex
+    # unprotected in round 1, and every replay keeps its context's cap
     rules = set()
     for g, classify_fn in cases:
         rep = classify_fn(g)
@@ -176,8 +175,22 @@ def test_dispatch_reads_local_plans_from_evidence():
                 assert spared in g.adjacency[v] and spared not in plan[0]
             t = replay(g, v, classify.SCHEDULES[rep.context], plan)
             assert t.burned_count <= CAPS[rep.context], (rep.context, v)
+    return rules
+
+
+def test_degree_local_strategies():
+    rules = dispatched_local_rules([
+        (F.path(5), classify.classify_girth5),
+        (F.platonic("dodecahedron"), classify.classify_girth5),
+        (F.platonic("icosahedron"), classify.classify_planar)])
     assert rules == {"degree_le_2", "low_degree_neighbor",
-                     "degree5_low_neighbor", "config_3.1"}
+                     "degree5_low_neighbor"}
+
+
+def test_config_strategy_31():
+    rules = dispatched_local_rules(
+        [(F.platonic("cube"), classify.classify_triangle_free)])
+    assert rules == {"config_3.1"}
 
 
 def test_config_starts_are_feasible_at_cap_18():
