@@ -28,13 +28,11 @@ class DartBuilder:
     ``faces`` holds every face boundary in exactly the order and with
     exactly the start that ``EmbeddedGraph.faces()`` traces: faces are
     ranked by their least dart ``(u, index of v in rotations[u])`` and
-    walked from it.  Inserting into a rotation keeps the relative order
-    of the darts already there, so an insertion only removes the face it
-    splits and places the faces replacing it by bisection on that key.
-    ``keys[i]`` is the least dart of ``faces[i]``, kept in step with it:
-    an insertion into ``rotations[u]`` at position i moves up the keys
-    ``(u, j >= i)``, which form one run of ``keys``.  The cost of an
-    insertion is the length of the split face plus the degree of the
+    walked from it, so a face's key is read from its first two vertices.
+    Inserting into a rotation keeps the relative order of the darts
+    already there, so an insertion only removes the face it splits and
+    places the faces replacing it by bisection on that key.  The cost of
+    an insertion is the length of the split face plus the degree of the
     vertices it touches, not the size of the graph.
     """
 
@@ -43,8 +41,6 @@ class DartBuilder:
         self.rotations = [list(r) for r in g.rotations]
         # index[u][v] is the position of v in rotations[u]
         self.index = [{v: i for i, v in enumerate(r)} for r in g.rotations]
-        self.keys = [(f[0], self.index[f[0]][f[1]]) for f in self.faces]
-        self.adjacency = [set(r) for r in g.rotations]
         self.positions = None if g.positions is None else list(g.positions)
 
     @property
@@ -69,7 +65,6 @@ class DartBuilder:
         rot = attached[::-1]
         self.rotations.append(rot)
         self.index.append({v: i for i, v in enumerate(rot)})
-        self.adjacency.append(set(rot))
         if self.positions is not None:
             xs = [self.positions[v][0] for v in attached]
             ys = [self.positions[v][1] for v in attached]
@@ -83,7 +78,7 @@ class DartBuilder:
         u, v = _on_walk(b, (i, j))
         if u == v:
             raise LoopOrMultiEdge(f"loop at vertex {u}")
-        if v in self.adjacency[u]:
+        if v in self.index[u]:
             raise LoopOrMultiEdge(f"repeated neighbour at vertex {u}")
         self._insert_after(u, b[(i - 1) % len(b)], v)
         self._insert_after(v, b[(j - 1) % len(b)], u)
@@ -106,7 +101,7 @@ class DartBuilder:
             raise BadParameter(f"{b} is not a face of this graph")
         first = index[b[0]].get(b[1])
         if first is not None:
-            at = bisect_left(self.keys, (b[0], first))
+            at = bisect_left(self.faces, (b[0], first), key=self._key)
             if at < len(self.faces) and self.faces[at] == b:
                 return at
         if min(b) < 0 or max(b) >= len(index):
@@ -116,10 +111,14 @@ class DartBuilder:
                          for i in range(k))
         except KeyError:
             raise BadParameter(f"{b} is not a face of this graph") from None
-        at = bisect_left(self.keys, key)
+        at = bisect_left(self.faces, key, key=self._key)
         if at == len(self.faces) or self.faces[at] != b[s:] + b[:s]:
             raise BadParameter(f"{b} is not a face of this graph")
         return at
+
+    def _key(self, f: tuple[int, ...]) -> tuple[int, int]:
+        """The least dart of a face listed in ``faces``: its first."""
+        return f[0], self.index[f[0]][f[1]]
 
     def _insert_after(self, u: int, prev: int, v: int) -> None:
         rot, index = self.rotations[u], self.index[u]
@@ -127,10 +126,6 @@ class DartBuilder:
         rot.insert(i, v)
         for p in range(i, len(rot)):
             index[rot[p]] = p
-        self.adjacency[u].add(v)
-        keys = self.keys
-        for p in range(bisect_left(keys, (u, i)), bisect_left(keys, (u + 1,))):
-            keys[p] = (u, keys[p][1] + 1)
 
     def _replace_face(self, at: int, new_darts: list[tuple[int, int]]
                       ) -> None:
@@ -139,7 +134,6 @@ class DartBuilder:
         new edges cut the split face, an open disk, into one face per new
         dart, so each walk ends where it started."""
         del self.faces[at]
-        del self.keys[at]
         rotations, index = self.rotations, self.index
         for start in new_darts:
             walk = []
@@ -154,8 +148,7 @@ class DartBuilder:
                 u, v = v, rot[(index[v][u] + 1) % len(rot)]
                 if (u, v) == start:
                     break
-            i = bisect_left(self.keys, best)
-            self.keys.insert(i, best)
+            i = bisect_left(self.faces, best, key=self._key)
             self.faces.insert(i, tuple(walk[s:] + walk[:s]))
 
 
@@ -185,7 +178,7 @@ def insert_vertex_in_face(g: EmbeddedGraph, face: Face,
 
 
 def _chord_ok(b: DartBuilder, u: int, v: int) -> bool:
-    return u != v and v not in b.adjacency[u]
+    return u != v and v not in b.index[u]
 
 
 def augment_maximal_planar(g: EmbeddedGraph) -> EmbeddedGraph:
@@ -231,7 +224,7 @@ def augment_maximal_triangle_free(g: EmbeddedGraph) -> EmbeddedGraph:
     when no chord is insertable."""
     g.require_triangle_free()
     b = DartBuilder(g)
-    adj = b.adjacency
+    index = b.index
     # a face with no insertable chord keeps none, since edges are only
     # added, and the faces replacing a split face rank after it: so the
     # scan resumes at the last split face instead of the first face
@@ -250,7 +243,7 @@ def augment_maximal_triangle_free(g: EmbeddedGraph) -> EmbeddedGraph:
                     u, v = face[i], face[j]
                     if not _chord_ok(b, u, v):
                         continue
-                    if adj[u] & adj[v]:
+                    if index[u].keys() & index[v].keys():
                         continue  # chord would close a triangle
                     chord = (face, i, j)
                     break

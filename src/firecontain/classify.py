@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .embedding import EmbeddedGraph, Face
+from .embedding import EmbeddedGraph
 from .engine import Schedule, min_burned_containment
 from .errors import (
     GirthTooSmall,
@@ -105,22 +105,6 @@ def _square_sides(g: EmbeddedGraph, u: int, v: int) -> int:
     if not g.has_edge(u, v):
         return 0
     return sum(f.degree == 4 for f in g.edge_faces(u, v))
-
-
-def _opposite_faces(g: EmbeddedGraph, u: int, v: int) -> list[Face]:
-    """Degree-4 faces with boundary u,a,v,b where a or b has degree 4."""
-    out = []
-    for f in g.incident_faces(u):
-        if f.degree != 4 or v not in f.boundary:
-            continue
-        b = f.boundary
-        i, j = b.index(u), b.index(v)
-        if (j - i) % 4 != 2:
-            continue
-        a1, a2 = b[(i + 1) % 4], b[(i + 3) % 4]
-        if g.degree(a1) == 4 or g.degree(a2) == 4:
-            out.append(f)
-    return out
 
 
 def contiguous_elements(g: EmbeddedGraph, v: int) -> list[Element]:
@@ -222,15 +206,22 @@ def _local_configs(g: EmbeddedGraph, v: int):
 
 
 def _opposite_partners(g: EmbeddedGraph, v: int) -> list[tuple[int, int]]:
-    out = []
+    """(u, face id) for each degree-4 face at v whose far corner u is not
+    adjacent to v and is linked to v: some degree-4 face at v reads
+    v,a,u,b with a or b of degree 4.  A face walked v,a,v,b has the
+    leaves a and b, so v is never linked to itself."""
+    far, linked = [], set()
     for f in g.incident_faces(v):
         if f.degree != 4:
             continue
         b = f.boundary
-        u = b[(b.index(v) + 2) % 4]
-        if not g.has_edge(u, v) and _opposite_faces(g, v, u):
-            out.append((u, f.id))
-    return sorted(set(out))
+        i = b.index(v)
+        u = b[(i + 2) % 4]
+        far.append((u, f.id))
+        if 4 in (g.degree(b[(i + 1) % 4]), g.degree(b[(i + 3) % 4])):
+            linked.add(u)
+    return sorted({(u, fid) for u, fid in far
+                   if u in linked and not g.has_edge(u, v)})
 
 
 # -- grid balls: purity test, lattice offsets and escape paths --------------
@@ -427,24 +418,18 @@ def _resolve_exact(g, v, d, mode, context, node_limit, offsets):
 # -- derived special sets and structural checks -----------------------------
 
 def special_sets(g: EmbeddedGraph, report: ClassificationReport) -> dict:
-    """The derived sets over an exact triangle-free classification:
-    Y32 = Y_3 vertices contiguous with exactly two elements of degree >= 5;
+    """The derived set over an exact triangle-free classification:
     Y53 = Y_5 vertices 4-adjacent to three Y_3 vertices."""
     require_exact(report, "trianglefree_thm5")
     y3 = {v for v, lab in report.labels.items() if lab == "Y_3"}
     y5 = {v for v, lab in report.labels.items() if lab == "Y_5"}
-    y32 = {}
-    for v in sorted(y3):
-        big = [e for e in contiguous_elements(g, v) if e.degree >= 5]
-        if len(big) == 2:
-            y32[v] = [(e.kind, e.id) for e in big]
     y53 = {}
     for v in sorted(y5):
         partners = [u for u in sorted(g.adjacency[v])
                     if u in y3 and four_adjacent(g, v, u)]
         if len(partners) >= 3:
             y53[v] = partners
-    return {"Y32": y32, "Y53": y53}
+    return {"Y53": y53}
 
 
 def require_exact(report: ClassificationReport, context: str) -> None:

@@ -134,12 +134,12 @@ def _apply_config(args, subparser, given) -> None:
         raise BadParameter(f"--config {args.config}: needs a JSON object")
     for key, value in config.items():
         attr = key.replace("-", "_")
-        if attr in given:
-            continue
         action = actions.get(attr)
         if action is None:
             raise BadParameter(
                 f"--config {key}: not a flag of {args.command}")
+        if attr in given:
+            continue
         if action.nargs == 0:  # a switch: a bool
             if type(value) is not bool:
                 raise BadParameter(f"--config {key}: needs true or false")
@@ -228,8 +228,8 @@ def _dispatch(args) -> int:
     if getattr(args, "node_limit", 1) < 1:
         raise BadParameter(
             f"--node-limit must be at least 1, got {args.node_limit}")
+    g = _load_graph(args)
     if cmd == "generate":
-        g = _load_graph(args)
         if args.output_format == "rotation_json":
             payload = formats.encode_rotation_json(g).decode()
         elif args.output_format == "planar_code":
@@ -241,7 +241,6 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if cmd == "simulate":
-        g = _load_graph(args)
         sched = _parse_schedule(args)
         start = _parse_start(args, g)
         strat = _pick_strategy(args.strategy, g, start)
@@ -250,7 +249,6 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if cmd == "solve":
-        g = _load_graph(args)
         sched = _parse_schedule(args)
         res = engine.sn_exact(g, _parse_start(args, g), sched,
                               node_limit=args.node_limit)
@@ -261,7 +259,6 @@ def _dispatch(args) -> int:
         return EXIT_OK if res.optimal else EXIT_TIMEOUT
 
     if cmd == "classify":
-        g = _load_graph(args)
         fn = {"girth5": classify.classify_girth5,
               "planar": classify.classify_planar,
               "trianglefree": classify.classify_triangle_free}[args.context]
@@ -275,7 +272,6 @@ def _dispatch(args) -> int:
         return EXIT_TIMEOUT if unknown else EXIT_OK
 
     if cmd == "discharge":
-        g = _load_graph(args)
         if args.context == "planar":
             if args.beta is not None:
                 raise BadParameter("--beta applies to --context "
@@ -297,7 +293,6 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if cmd == "rate":
-        g = _load_graph(args)
         if args.theorem:
             cert = rates.certify_bound(g, args.theorem,
                                        instance=args.family or args.input,
@@ -312,7 +307,6 @@ def _dispatch(args) -> int:
         return EXIT_TIMEOUT if report.partial else EXIT_OK
 
     if cmd == "render":
-        g = _load_graph(args)
         trace = _read(args.trace, "--trace", lambda b:
                       engine.SimTrace.from_json(json.loads(b), g.n))
         try:

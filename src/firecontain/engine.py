@@ -505,12 +505,15 @@ def sn_exact(g: EmbeddedGraph, start: int, schedule: Schedule,
 class ContainmentResult:
     status: str  # "feasible" | "infeasible" | "timeout"
     trace: Optional[SimTrace] = None
-    proven: bool = False
     nodes: int = 0
 
     @property
     def feasible(self) -> bool:
         return self.status == "feasible"
+
+    @property
+    def proven(self) -> bool:
+        return self.status != "timeout"
 
 
 def min_burned_containment(
@@ -538,12 +541,11 @@ def min_burned_containment(
     for probe in trivial + tuple(probes) + DEFAULT_PROBES:
         t = run_simulation(g, start, schedule, probe, burn_cap)
         if t is not None:
-            return ContainmentResult("feasible", trace=t, proven=True)
-    return _contain_by_dfs(g, start, schedule, burn_cap, burn_cap,
-                           node_limit)
+            return ContainmentResult("feasible", trace=t)
+    return _contain_by_dfs(g, start, schedule, burn_cap, node_limit)
 
 
-def _contain_by_dfs(g, start, schedule, burn_cap, round_bound, node_limit
+def _contain_by_dfs(g, start, schedule, burn_cap, node_limit
                     ) -> ContainmentResult:
     """Exact containment decision by depth-first search over protection
     subsets, on the bitset layer of ``sn_exact``.  A state that fails is
@@ -551,17 +553,20 @@ def _contain_by_dfs(g, start, schedule, burn_cap, round_bound, node_limit
     checks that need only the frontier run before the flood of the free
     component.
 
+    A round that burns nothing empties the frontier, so a node at round r
+    with a non-empty frontier has burned at least r vertices, and every
+    plan within the cap contains the fire by round ``burn_cap``.
+
     Children come in ``_blocks``: a block shares the child burning set
     B' and ``base``, the child frontier F' before the outside part of the
-    protection set.  A child passes the frontier checks iff F' is empty,
-    or it is not past the round bound and |F'| - budget' <= cap - |B'|;
-    so iff its outside part protects at least t vertices of ``base``,
-    t = |base| in the last round and |base| - budget' - (cap - |B'|)
-    before it.  A child below t is dead: it is not entered, and counts as
-    one node.  A block whose outside part cannot reach t at all counts as
-    one node, the one step it costs.  So every node counted is a step of
-    work, and ``node_limit`` bounds the time.  A child whose burning set
-    passes the cap is skipped uncounted, block by block."""
+    protection set.  A child passes the frontier checks iff F' is empty
+    or |F'| - budget' <= cap - |B'|; so iff its outside part protects at
+    least t = |base| - budget' - (cap - |B'|) vertices of ``base``.  A
+    child below t is dead: it is not entered, and counts as one node.  A
+    block whose outside part cannot reach t at all counts as one node,
+    the one step it costs.  So every node counted is a step of work, and
+    ``node_limit`` bounds the time.  A child whose burning set passes the
+    cap is skipped uncounted, block by block."""
     masks = g.neighbour_masks
     rank = _search_rank(g)
     nodes = 0
@@ -579,15 +584,11 @@ def _contain_by_dfs(g, start, schedule, burn_cap, round_bound, node_limit
         front = nbhd & ~blocked
         if not front:
             return []
-        if round_no > round_bound:
-            return None
         allowance = burn_cap - burning.bit_count()
         budget = schedule.budget(round_no)
         if front.bit_count() - budget > allowance:
             return None
         layers, reach_nbhd = _flood(masks, front, blocked)
-        # round_no matters: the same state may fail purely because fewer
-        # rounds remain, so it cannot be cached round-independently
         key = (burning, protected & (reach_nbhd | nbhd), round_no)
         if key in failed:
             return None
@@ -603,9 +604,8 @@ def _contain_by_dfs(g, start, schedule, burn_cap, round_bound, node_limit
                 min(budget, len(cands)), burn_cap):
             # a child is live, and passes rec's frontier checks, iff its
             # outside part protects at least t vertices of base
-            t = base.bit_count()
-            if round_no < round_bound:
-                t -= ahead_budget + burn_cap - burn2.bit_count()
+            t = (base.bit_count() - ahead_budget
+                 - (burn_cap - burn2.bit_count()))
             # a block that no outside part can make live costs one step:
             # the empty outside part, dead too, stands for all of them
             combos = (_combos(outside, r)
@@ -626,19 +626,16 @@ def _contain_by_dfs(g, start, schedule, burn_cap, round_bound, node_limit
     try:
         plan = rec(1 << start, masks[start], 0, 1)
     except _NodeLimit:
-        return ContainmentResult("timeout", proven=False, nodes=nodes)
+        return ContainmentResult("timeout", nodes=nodes)
     if plan is None:
-        return ContainmentResult("infeasible", proven=True, nodes=nodes)
+        return ContainmentResult("infeasible", nodes=nodes)
     trace = run_simulation(g, start, schedule, plan_strategy(plan))
     assert trace.burned_count <= burn_cap
-    assert len(trace.rounds) <= round_bound
-    return ContainmentResult("feasible", trace=trace, proven=True,
-                             nodes=nodes)
+    return ContainmentResult("feasible", trace=trace, nodes=nodes)
 
 
-def _contain_by_region_enum(g, start, schedule, burn_cap, round_bound,
-                            node_limit) -> ContainmentResult:
+def _contain_by_region_enum(g, start, schedule, burn_cap, node_limit
+                            ) -> ContainmentResult:
     """``_contain_by_dfs``; never called.  The name stays because
     perfbench's trace mode looks it up to wrap it."""
-    return _contain_by_dfs(g, start, schedule, burn_cap, round_bound,
-                           node_limit)
+    return _contain_by_dfs(g, start, schedule, burn_cap, node_limit)

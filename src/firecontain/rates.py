@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from . import classify, strategies
 from .embedding import EmbeddedGraph
@@ -33,8 +32,6 @@ class RateReport:
     mode: str  # "exact" | "strategy_lower_bound"
     saved: dict[int, int]
     rate: Fraction
-    threshold: Optional[Fraction] = None
-    verdict: Optional[bool] = None
     partial: bool = False
     notes: dict = field(default_factory=dict)
 
@@ -45,9 +42,8 @@ class RateReport:
             "mode": self.mode,
             "saved": {str(v): s for v, s in sorted(self.saved.items())},
             "rate": rational(self.rate),
-            "threshold": None if self.threshold is None else
-                rational(self.threshold),
-            "verdict": self.verdict,
+            "threshold": None,
+            "verdict": None,
             "partial": self.partial,
             "notes": self.notes,
         }
@@ -182,8 +178,8 @@ def _certify_k2n_upper(g: EmbeddedGraph, instance: str,
     leaves = [v for v in range(g.n) if g.degree(v) == 2]
     # m = 2 gives the 4-cycle, where every vertex doubles as a hub
     four_cycle = g.n == 4 and len(leaves) == 4
-    if not four_cycle and (g.n < 4 or len(hubs) != 2
-                           or len(leaves) != g.n - 2 or g.has_edge(*hubs)):
+    if not four_cycle and (len(hubs) != 2 or len(leaves) != g.n - 2
+                           or g.has_edge(*hubs)):
         raise HypothesisViolated("graph is not a complete bipartite K_{2,m}")
     exact = surviving_rate_exact(g, Schedule.constant(1),
                                  node_limit=node_limit, instance=instance)

@@ -311,13 +311,12 @@ def contain_by_dfs_frozenset(g, start, schedule, burn_cap, round_bound,
     try:
         ok = rec(frozenset([start]), frozenset(), 1)
     except _NodeLimit:
-        return ContainmentResult("timeout", proven=False, nodes=nodes)
+        return ContainmentResult("timeout", nodes=nodes)
     if not ok:
-        return ContainmentResult("infeasible", proven=True, nodes=nodes)
+        return ContainmentResult("infeasible", nodes=nodes)
     trace = run_simulation(g, start, schedule, plan_strategy(found[0]))
     assert trace.burned_count <= burn_cap
-    return ContainmentResult("feasible", trace=trace, proven=True,
-                             nodes=nodes)
+    return ContainmentResult("feasible", trace=trace, nodes=nodes)
 
 
 def wall_deadlines(g, start, region):

@@ -133,7 +133,7 @@ def test_builder_faces_track_traced_faces():
             if rng.random() < 0.5:
                 chords = [(i, j) for i in range(k) for j in range(k)
                           if face[i] != face[j]
-                          and face[j] not in b.adjacency[face[i]]]
+                          and face[j] not in b.index[face[i]]]
                 if not chords:
                     continue
                 b.insert_chord(face, *rng.choice(chords))
@@ -147,7 +147,6 @@ def test_builder_faces_track_traced_faces():
                 b.insert_vertex(face, attach)
             g = b.freeze()
             assert b.faces == [f.boundary for f in g.faces()]
-            assert b.keys == [(f[0], b.index[f[0]][f[1]]) for f in b.faces]
 
 
 def test_builder_rejects_bad_insertions():
@@ -177,7 +176,7 @@ def test_builder_locates_faces_from_any_dart():
 def test_builder_locate_rejects_walks_that_are_not_faces():
     g = F.rect_grid(3, 3)
     b = DartBuilder(g)
-    faces, keys = list(b.faces), list(b.keys)
+    faces = list(b.faces)
     face = b.faces[0]
     # walks that begin with a dart of the graph but are not faces: the
     # first two begin with the face's own least dart, the last two use
@@ -187,14 +186,14 @@ def test_builder_locate_rejects_walks_that_are_not_faces():
             b._locate(walk)
         with pytest.raises(BadParameter):
             b.insert_vertex(walk, [0])
-    assert b.faces == faces and b.keys == keys
+    assert b.faces == faces
     assert b.freeze() == g
 
 
 def test_builder_rejects_vertices_and_positions_off_the_graph():
     g = F.cycle(4)
     b = DartBuilder(g)
-    faces, keys = list(b.faces), list(b.keys)
+    faces = list(b.faces)
     face = b.faces[0]
     with pytest.raises(BadParameter):
         b._locate((9, 0, 1))
@@ -205,5 +204,5 @@ def test_builder_rejects_vertices_and_positions_off_the_graph():
     with pytest.raises(BadParameter):
         b.insert_vertex(face, [7])
     # nothing above changed the builder
-    assert b.faces == faces and b.keys == keys
+    assert b.faces == faces
     assert b.freeze() == g

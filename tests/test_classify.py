@@ -3,6 +3,7 @@ import pytest
 from firecontain import classify, families as F, randgen
 from firecontain.augment import augment_maximal_planar
 from firecontain.classify import (
+    ClassificationReport,
     _opposite_partners,
     classify_girth5,
     classify_planar,
@@ -282,13 +283,17 @@ def test_special_sets_requires_exact_tf():
 
 
 def test_special_sets_shapes():
+    # hub 5 of random_tf_maximal(20, 23) is 4-adjacent to 1, 6 and 10
+    g = randgen.random_tf_maximal(20, 23)
+    labels = {v: f"X_{g.degree(v)}" for v in range(g.n)}
+    labels.update({5: "Y_5", 1: "Y_3", 6: "Y_3", 10: "Y_3"})
+    rep = ClassificationReport("trianglefree_thm5", "exact", labels,
+                               {v: {} for v in range(g.n)})
+    assert special_sets(g, rep) == {"Y53": {5: [1, 6, 10]}}
     for seed in range(5):
         g = randgen.random_tf_maximal(24, seed)
         rep = classify_triangle_free(g)
         sets = special_sets(g, rep)
-        for v, wit in sets["Y32"].items():
-            assert rep.labels[v] == "Y_3"
-            assert len(wit) == 2
         for v, partners in sets["Y53"].items():
             assert rep.labels[v] == "Y_5"
             assert len(partners) >= 3

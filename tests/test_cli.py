@@ -306,6 +306,11 @@ RENDER = ("render", "--family", "path:5", "--trace", "@trace.json",
     ({}, ("--config", "@missing.json", *SOLVE)),
     ({"cfg.json": '{"nod_limit": 0, "k": 1}'},
      ("--config", "@cfg.json", *SOLVE)),
+    # the top-level parser's own destinations are not flags of solve
+    ({"cfg.json": '{"command": "rate", "k": 1}'},
+     ("--config", "@cfg.json", *SOLVE)),
+    ({"cfg.json": '{"config": "x.json", "k": 1}'},
+     ("--config", "@cfg.json", *SOLVE)),
     ({}, ("solve", "--input", "@missing.json", "--format", "rotation_json",
           "--start", "0", "--k", "1")),
     ({"trace.json": '{"start": 0, "rounds": [], "saved": 5}'}, RENDER),
@@ -331,7 +336,8 @@ RENDER = ("render", "--family", "path:5", "--trace", "@trace.json",
       "imgs": ""}, RENDER),
 ], ids=["config_k_one", "config_malformed", "config_not_object",
         "config_pairs", "config_int_pairs", "config_switch_string",
-        "config_missing", "config_unknown_key", "input_missing",
+        "config_missing", "config_unknown_key", "config_command_key",
+        "config_config_key", "input_missing",
         "trace_without_schedule", "trace_not_json", "trace_start_99",
         "trace_burned_x", "trace_schedule_float", "trace_does_not_replay",
         "trace_saved_not_int", "trace_over_budget", "generate_out_is_file",

@@ -171,8 +171,11 @@ def test_containment_rejects_bad_caps():
 
 
 def test_containment_result_flags():
-    r = ContainmentResult("infeasible", proven=True)
-    assert not r.feasible
+    for status, feasible, proven in (("feasible", True, True),
+                                     ("infeasible", False, True),
+                                     ("timeout", False, False)):
+        r = ContainmentResult(status)
+        assert (r.feasible, r.proven) == (feasible, proven), status
 
 
 # -- the carried frontier and the probe cut-off --------------------------------

@@ -196,7 +196,7 @@ def test_region_enumeration_outputs():
         out = []
         for limit in (2, 3000):
             for v in range(g.n):
-                res = engine._contain_by_dfs(g, v, sched, cap, cap, limit)
+                res = engine._contain_by_dfs(g, v, sched, cap, limit)
                 statuses.add(res.status)
                 out.append([res.status, res.nodes,
                             res.trace.to_json() if res.trace else None])

@@ -171,14 +171,16 @@ def test_hypothesis_errors_name_the_hypothesis():
 
 
 def test_certify_k2n_upper():
-    for m in range(2, 7):
+    # m = 1 is the path P3, whose exact rate 5/9 is within 2/3
+    for m in range(1, 7):
         g = F.complete_bipartite_2_m(m)
         cert = certify_bound(g, "k2n_upper")
         assert cert.passed
         assert cert.direction == "upper"
         assert cert.rate <= Fraction(2, g.n)
-    with pytest.raises(HypothesisViolated):
-        certify_bound(F.path(5), "k2n_upper")
+    for g in (F.path(4), F.path(5), F.star(4), F.cycle(3)):
+        with pytest.raises(HypothesisViolated):
+            certify_bound(g, "k2n_upper")
 
 
 def test_certify_unknown_theorem():

@@ -96,24 +96,23 @@ def test_contain_by_dfs_matches_frozenset_search():
     for name, g in _dfs_cases():
         for v in range(g.n):
             for sched in (Schedule.constant(1), Schedule.constant(2)):
-                for cap, bound in ((4, 4), (7, 3), (9, 9)):
-                    got = engine._contain_by_dfs(g, v, sched, cap, bound,
-                                                 10_000)
-                    want = contain_by_dfs_frozenset(g, v, sched, cap, bound,
+                for cap in (4, 7, 9):
+                    got = engine._contain_by_dfs(g, v, sched, cap, 10_000)
+                    want = contain_by_dfs_frozenset(g, v, sched, cap, cap,
                                                     10_000)
-                    _assert_same_solve(got, want, (name, v, sched, cap, bound))
+                    _assert_same_solve(got, want, (name, v, sched, cap))
                     statuses.add(got.status)
     assert statuses == {"feasible", "infeasible"}
 
 
 def _assert_timeouts_match(g, v, sched, cap, limits):
-    full = engine._contain_by_dfs(g, v, sched, cap, cap, 10_000_000).nodes
+    full = engine._contain_by_dfs(g, v, sched, cap, 10_000_000).nodes
     for limit in limits + (full - 1,):
         if limit >= full:  # the DFS finishes within it
             continue
-        args = (g, v, sched, cap, cap, limit)
-        got = engine._contain_by_dfs(*args)
-        assert got == contain_by_dfs_frozenset(*args), limit
+        got = engine._contain_by_dfs(g, v, sched, cap, limit)
+        assert got == contain_by_dfs_frozenset(g, v, sched, cap, cap,
+                                               limit), limit
         assert got.status == "timeout" and got.nodes == limit + 1, limit
 
 
@@ -126,7 +125,7 @@ def test_contain_by_dfs_timeouts_match_node_for_node():
 def test_cap18_infeasibility_proof_is_pinned():
     # a cap-18 proof of the triangle-free classification
     g = randgen.random_tf_maximal(200, 12)
-    res = engine._contain_by_dfs(g, 7, Schedule.constant(2), 18, 18, 500_000)
+    res = engine._contain_by_dfs(g, 7, Schedule.constant(2), 18, 500_000)
     assert res.status == "infeasible" and res.proven
     assert res.nodes == 148
 
@@ -140,14 +139,14 @@ def test_dead_children_do_not_cost_time(start):
     # degree-9 starts: C(199, 4) protection sets at round 1, of which
     # only the 126 inside the frontier keep the fire within the cap
     g = randgen.random_triangulation(200, 1)
-    res = engine._contain_by_dfs(g, start, Schedule(4, 3), 6, 6, 50_000)
+    res = engine._contain_by_dfs(g, start, Schedule(4, 3), 6, 50_000)
     assert res.status == "infeasible" and res.nodes == 127
 
 
 def test_square_grid_cap18_plan_from_the_centre():
     g = F.rect_grid(17, 17)
     centre = 8 * 17 + 8
-    res = engine._contain_by_dfs(g, centre, Schedule.constant(2), 18, 18,
+    res = engine._contain_by_dfs(g, centre, Schedule.constant(2), 18,
                                  2_000_000)
     assert res.status == "feasible" and res.nodes == 56_468
     trace = engine.replay(g, res.trace)
@@ -177,7 +176,7 @@ def test_contain_by_dfs_agrees_with_region_enumeration_at_cap6():
     for seed in range(1, 5):
         g = randgen.random_triangulation(16, seed)
         for v in range(g.n):
-            dfs = engine._contain_by_dfs(g, v, sched, 6, 6, 20_000).status
+            dfs = engine._contain_by_dfs(g, v, sched, 6, 20_000).status
             assert dfs == contain_by_regions_reference(g, v, sched, 6, 6), \
                 (seed, v)
             statuses.add(dfs)
@@ -194,7 +193,7 @@ def test_containment_matches_region_enumeration():
             assert res.status == contain_by_regions_reference(
                 g, v, sched, cap, cap), (name, v)
             statuses.add(res.status)
-            dfs = engine._contain_by_dfs(g, v, sched, cap, cap, 2_000_000)
+            dfs = engine._contain_by_dfs(g, v, sched, cap, 2_000_000)
             _assert_same_solve(dfs, contain_by_dfs_frozenset(
                 g, v, sched, cap, cap, 2_000_000), (name, v))
             if res.nodes:  # decided by the search, not by a probe

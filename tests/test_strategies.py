@@ -64,7 +64,7 @@ def test_rect_plan_caps_are_met_by_a_searched_plan():
     assert (plan["burn_cap"], plan["round_cap"]) == (18, 8)
     g = F.rect_grid(17, 17)
     centre = 8 * 17 + 8
-    res = engine._contain_by_dfs(g, centre, Schedule.constant(2), 18, 8,
+    res = engine._contain_by_dfs(g, centre, Schedule.constant(2), 18,
                                  3_000_000)
     assert res.status == "feasible" and res.nodes == 56_468
     trace = engine.replay(g, res.trace)
