@@ -14,7 +14,7 @@ candidate vertices are decided by the containment search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .embedding import EmbeddedGraph
 from .engine import Schedule, min_burned_containment
@@ -49,7 +49,6 @@ class Element:
 @dataclass(frozen=True)
 class ConfigMatch:
     config: str
-    anchor: int
     witness: dict
 
 
@@ -128,15 +127,11 @@ def _five_adjacent_vertices(g: EmbeddedGraph, v: int) -> list[int]:
 
 # -- degree-3 configurations (triangle-free context) ------------------------
 
-def detect_local_configs(g: EmbeddedGraph, v: int) -> list[ConfigMatch]:
-    """All matching containment-friendly local patterns around a degree-3
-    vertex of a triangle-free embedded graph."""
-    return list(_local_configs(g, v))
-
-
-def _local_configs(g: EmbeddedGraph, v: int):
-    """The matches of ``detect_local_configs``, in order, each found only
-    once the previous one is taken."""
+def detect_local_configs(g: EmbeddedGraph, v: int) -> Iterator[ConfigMatch]:
+    """The matching containment-friendly local patterns around a degree-3
+    vertex of a triangle-free embedded graph, in order, each found only
+    once the previous one is taken; WrongContext at another degree, once
+    the first is asked for."""
     if g.degree(v) != 3:
         raise WrongContext(f"vertex {v} has degree {g.degree(v)}, need 3")
     g.require_verified()
@@ -144,7 +139,7 @@ def _local_configs(g: EmbeddedGraph, v: int):
     # 3.1: a neighbour of degree <= 3
     for u in nbrs:
         if g.degree(u) <= 3:
-            yield ConfigMatch("3.1", v, {"vertex": u})
+            yield ConfigMatch("3.1", {"vertex": u})
             break
     # 3.2: a degree-4 neighbour with another neighbour of degree <= 3
     for u in nbrs:
@@ -153,13 +148,13 @@ def _local_configs(g: EmbeddedGraph, v: int):
         w = next((w for w in sorted(g.adjacency[u])
                   if w != v and g.degree(w) <= 3), None)
         if w is not None:
-            yield ConfigMatch("3.2", v, {"vertex": u, "low": w})
+            yield ConfigMatch("3.2", {"vertex": u, "low": w})
             break
     opposites = _opposite_partners(g, v)
     # 3.3: 4-opposite to a vertex of degree <= 4
     for u, fid in opposites:
         if g.degree(u) <= 4:
-            yield ConfigMatch("3.3", v, {"vertex": u, "face": fid})
+            yield ConfigMatch("3.3", {"vertex": u, "face": fid})
             break
     # 3.4: 4-opposite to a degree-5 vertex with a neighbour of degree <= 3
     for u, fid in opposites:
@@ -168,8 +163,7 @@ def _local_configs(g: EmbeddedGraph, v: int):
         w = next((w for w in sorted(g.adjacency[u]) if g.degree(w) <= 3),
                  None)
         if w is not None:
-            yield ConfigMatch("3.4", v, {"vertex": u, "face": fid,
-                                         "low": w})
+            yield ConfigMatch("3.4", {"vertex": u, "face": fid, "low": w})
             break
     # 3.5: a degree-5 neighbour w with three consecutive neighbours of
     # degree <= 3 (v among them), the middle one 4-adjacent to w
@@ -189,7 +183,7 @@ def _local_configs(g: EmbeddedGraph, v: int):
                 hit = window
                 break
         if hit is not None:
-            yield ConfigMatch("3.5", v, {"vertex": w, "window": hit})
+            yield ConfigMatch("3.5", {"vertex": w, "window": hit})
             break
     # 3.6: 4-adjacent to a degree-6 vertex that is 4-adjacent to six
     # vertices of degree <= 3
@@ -201,7 +195,7 @@ def _local_configs(g: EmbeddedGraph, v: int):
         sat = [w for w in sorted(g.adjacency[u])
                if g.degree(w) <= 3 and four_adjacent(g, u, w)]
         if len(sat) >= 6:
-            yield ConfigMatch("3.6", v, {"vertex": u, "low": sat})
+            yield ConfigMatch("3.6", {"vertex": u, "low": sat})
             break
 
 
@@ -363,7 +357,7 @@ def classify_triangle_free(g: EmbeddedGraph, mode: str = "exact",
     g.require_triangle_free()
     return _classify(g, "trianglefree_thm5", mode, node_limit, lambda v: next(
         ({"rule": f"config_{c.config}", "witness": c.witness}
-         for c in _local_configs(g, v)), None))
+         for c in detect_local_configs(g, v)), None))
 
 
 def _classify(g, context, mode, node_limit, local_rule

@@ -253,9 +253,7 @@ def _dispatch(args) -> int:
         res = engine.sn_exact(g, _parse_start(args, g), sched,
                               node_limit=args.node_limit)
         _emit({"value": res.value, "optimal": res.optimal,
-               "nodes": res.nodes,
-               "trace": None if res.trace is None else res.trace.to_json()},
-              args)
+               "nodes": res.nodes, "trace": res.trace.to_json()}, args)
         return EXIT_OK if res.optimal else EXIT_TIMEOUT
 
     if cmd == "classify":

@@ -190,8 +190,14 @@ def advance_round(g: EmbeddedGraph, state: FireState,
     """Apply one round: protections first, then the fire spreads to all
     unprotected, unburned neighbours of burning vertices.  The frontier
     that was not protected burns, so the next frontier is the free part of
-    the neighbourhood of the newly burned vertices."""
+    the neighbourhood of the newly burned vertices.  StrategyBudgetViolation
+    for more protections than ``budget``, or for one that is not an ``int``
+    in 0..n-1 or is already burning or protected."""
     prot = set(protections)
+    bad = [v for v in prot if type(v) is not int or not 0 <= v < g.n]
+    if bad:
+        raise StrategyBudgetViolation(
+            f"cannot protect {bad!r}: not vertices of this {g.n}-vertex graph")
     if len(prot) > budget:
         raise StrategyBudgetViolation(
             f"{len(prot)} protections exceed budget {budget}")
@@ -220,9 +226,9 @@ def run_simulation(g: EmbeddedGraph, start: int, schedule: Schedule,
     while front := _front(g, state):
         round_no = state.round + 1
         budget = schedule.budget(round_no)
-        prot = sorted(set(strategy(g, state, budget)))
+        prot = set(strategy(g, state, budget))
         state = advance_round(g, state, prot, budget)
-        rounds.append((tuple(prot), front & ~state.protected_mask))
+        rounds.append((tuple(sorted(prot)), front & ~state.protected_mask))
         if state.burning_mask.bit_count() > burn_cap:
             return None
     return SimTrace(start=start, schedule=schedule, rounds=tuple(
@@ -237,7 +243,9 @@ def plan_strategy(plan: Sequence[Sequence[int]]) -> Decide:
         round_no = state.round + 1
         if round_no <= len(plan):
             blocked = state.burning_mask | state.protected_mask
-            return [v for v in plan[round_no - 1] if not blocked >> v & 1]
+            # what is not a vertex passes, for advance_round to reject
+            return [v for v in plan[round_no - 1]
+                    if type(v) is not int or v < 0 or not blocked >> v & 1]
         return []
     return decide
 
@@ -249,7 +257,7 @@ def null_strategy(g: EmbeddedGraph, state: FireState, budget: int) -> list[int]:
 def replay(g: EmbeddedGraph, trace: SimTrace) -> SimTrace:
     """Re-run a trace's recorded protections; must reproduce it exactly."""
     return run_simulation(g, trace.start, trace.schedule,
-                          plan_strategy([list(r.protect) for r in trace.rounds]))
+                          plan_strategy(trace.protection_plan()))
 
 
 # -- greedy probe strategies ------------------------------------------------
@@ -282,7 +290,7 @@ DEFAULT_PROBES: tuple[Decide, ...] = (
 @dataclass(frozen=True)
 class SnResult:
     value: int
-    trace: Optional[SimTrace]
+    trace: SimTrace
     optimal: bool
     nodes: int
 
@@ -597,7 +605,9 @@ def _contain_by_dfs(g, start, schedule, burn_cap, node_limit
         # ever need protection in a within-cap trajectory
         cands = _candidates(layers[:allowance + 1], rank)
         outside = cands[front.bit_count():]
-        outside_mask = sum(1 << v for v in outside)
+        outside_mask = 0  # the candidates beyond the frontier, layers[0]
+        for layer in layers[1:allowance + 1]:
+            outside_mask |= layer
         ahead_budget = schedule.budget(round_no + 1)
         for inside, burn2, nbhd2, prot_in, base, r in _blocks(
                 masks, burning, nbhd, protected, front, cands,

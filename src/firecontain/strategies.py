@@ -5,14 +5,15 @@ each is a plan: the vertices to protect in rounds 1, 2, ..., computed from
 (graph, start) and replayed by ``engine.plan_strategy``.
 ``theorem_dispatch`` reads each X start's plan from its classification
 evidence, which already names it: the witness of an exact resolution, the
-mapped grid plan of a grid rule, the whole neighbourhood, or all of it but
+checked grid plan of a grid rule, the whole neighbourhood, or all of it but
 the evidence's spared vertex; the other local configurations take the
 witness of the cap-18 containment search.  Y starts get the empty plan.
 
 The two grid plans are frozen coordinate-relative plans stored as packaged
-JSON (``plans/``).  Each plan file is integrity-checked by hash and guarded
-by a replay on its canonical instance at load time; ``mapped_plan`` then
-maps it onto a concrete graph through the rotation system.
+JSON (``plans/``), integrity-checked by hash at load time.  Their one
+checked path onto a graph, ``_guaranteed``, walks the start's grid ball
+once for its purity and offsets, then replays the plan against its caps;
+the load-time guard, ``checked_grid_plan`` and the grid rules take it.
 """
 from __future__ import annotations
 
@@ -72,11 +73,17 @@ def _guard_plan(plan: dict) -> None:
 
 
 def _guaranteed(g: EmbeddedGraph, start: int, plan: dict) -> Optional[Plan]:
-    """``plan`` mapped around ``start`` if its replay keeps the plan's
-    burn and round caps, else None."""
-    mapped = mapped_plan(g, start, plan)
-    if mapped is None:
+    """``plan`` mapped through the offsets of ``start``'s grid ball if
+    the ball is pure and the replay keeps the plan's burn and round caps,
+    else None."""
+    try:
+        pure, _, at = classify.grid_neighborhood_test(g, start,
+                                                      plan["lattice"])
+    except FireContainError:
         return None
+    if not pure:
+        return None
+    mapped = _through(at, plan)
     trace = run_simulation(g, start, Schedule(*plan["schedule"]),
                            plan_strategy(mapped))
     if trace.burned_count > plan["burn_cap"] or \
@@ -85,48 +92,19 @@ def _guaranteed(g: EmbeddedGraph, start: int, plan: dict) -> Optional[Plan]:
     return mapped
 
 
-def lattice_map(g: EmbeddedGraph, start: int, lattice: str
-                ) -> Optional[dict[tuple[int, int], int]]:
-    """Offsets -> vertices of ``classify.grid_ball`` around ``start``;
-    None if ``start`` has another degree or no orientation fits the ball."""
-    if g.degree(start) != len(classify.GRID_LATTICES[lattice][0]):
-        return None
-    return classify.grid_ball(g, start, lattice)[0]
-
-
-def mapped_plan(g: EmbeddedGraph, start: int, plan: dict) -> Optional[Plan]:
-    """Translate a plan's offsets to vertex ids around ``start``; offsets
-    that fall outside the graph are dropped (the fire cannot go there)."""
-    return _through(lattice_map(g, start, plan["lattice"]), plan)
-
-
-def _through(at: Optional[dict], plan: dict) -> Optional[Plan]:
-    """``plan`` with each offset replaced by its vertex in ``at``."""
-    if at is None:
-        return None
+def _through(at: dict, plan: dict) -> Plan:
+    """``plan`` with each offset replaced by its vertex in ``at``, dropping
+    the offsets off the graph (the fire cannot go there)."""
     return [[at[c] for c in rnd if c in at] for rnd in plan["rounds"]]
 
 
-def grid_plan(g: EmbeddedGraph, start: int, lattice: str) -> Plan:
-    """The packaged ``lattice`` plan mapped around ``start``, unchecked:
-    the classifier's grid test stands for it."""
-    mapped = mapped_plan(g, start, load_plan(f"{lattice}_containment"))
-    if mapped is None:
-        raise NotApplicable(f"no {lattice} lattice map around start {start}")
-    return mapped
-
-
 def checked_grid_plan(g: EmbeddedGraph, start: int, lattice: str) -> Plan:
-    """The mapped ``lattice`` plan where ``start`` passes the grid test
-    and the replay keeps the plan's guarantee: hex, schedule (4, 3) with
-    at most 6 burned; rect, two firefighters with at most 18 burned within
-    8 rounds."""
+    """The ``lattice`` plan mapped around ``start`` where ``start`` passes
+    the grid test and the replay keeps the plan's guarantee: hex, schedule
+    (4, 3) with at most 6 burned; rect, two firefighters with at most 18
+    burned within 8 rounds."""
     name = f"{lattice}_containment"
-    try:
-        ok = classify.grid_neighborhood_test(g, start, lattice)[0]
-    except FireContainError:
-        ok = False
-    mapped = _guaranteed(g, start, load_plan(name)) if ok else None
+    mapped = _guaranteed(g, start, load_plan(name))
     if mapped is None:
         raise NotApplicable(f"{name} does not apply to start {start}")
     return mapped
@@ -137,8 +115,8 @@ def lattice_probes(at: Optional[dict], lattice: str) -> list[Decide]:
     a start's ``classify.grid_ball``, as a probe for the containment
     solver, or none where the ball has no offsets; the solver's own
     simulation re-checks any probe outcome."""
-    mapped = _through(at, load_plan(f"{lattice}_containment"))
-    return [] if mapped is None else [plan_strategy(mapped)]
+    plan = load_plan(f"{lattice}_containment")
+    return [] if at is None else [plan_strategy(_through(at, plan))]
 
 
 # -- plans read from the evidence -------------------------------------------
@@ -167,8 +145,8 @@ def _searched_plan(g: EmbeddedGraph, start: int) -> Plan:
 def theorem_dispatch(classification: "classify.ClassificationReport"
                      ) -> Callable[[EmbeddedGraph, int], Plan]:
     """``plan_for(g, start)``: the plan each X start's evidence names, and
-    the empty plan for Y starts.  An evidence rule with no plan is
-    NotApplicable."""
+    the empty plan for Y starts.  An evidence rule with no plan, and a
+    grid rule whose plan fails its check at the start, is NotApplicable."""
 
     def plan_for(g: EmbeddedGraph, start: int) -> Plan:
         if classification.side(start) == "Y":
@@ -178,7 +156,8 @@ def theorem_dispatch(classification: "classify.ClassificationReport"
             return SimTrace.from_json(ev["trace"], g.n).protection_plan()
         rule = ev["rule"]
         if rule.endswith("_neighborhood"):
-            return grid_plan(g, start, rule.removesuffix("_neighborhood"))
+            return checked_grid_plan(g, start,
+                                     rule.removesuffix("_neighborhood"))
         if rule.startswith("degree_le_"):  # the first budget covers it
             return [sorted(g.adjacency[start])]
         if rule in ("low_degree_neighbor", "degree5_low_neighbor"):

@@ -26,12 +26,7 @@ from firecontain.errors import (
     StrategyBudgetViolation,
 )
 from firecontain.families import HEX_DIRS, RECT_DIRS, cycle
-from firecontain.strategies import (
-    lattice_map,
-    lattice_probes,
-    load_plan,
-    mapped_plan,
-)
+from firecontain.strategies import load_plan
 
 
 # -- the face tracer that the dart table replaced -----------------------------
@@ -543,7 +538,7 @@ def _grid_reference(plan_name):
     def decide(g, state, budget):
         if state.round == 0:
             (start,) = state.burning
-            cell["sub"] = plan_strategy(mapped_plan(g, start, plan))
+            cell["sub"] = plan_strategy(mapped_plan_reference(g, start, plan))
         return cell["sub"](g, state, budget)
     return decide
 
@@ -557,10 +552,8 @@ def _config_reference(config_id):
         if state.round == 0:
             (start,) = state.burning
             sched = Schedule.constant(2)
-            res = min_burned_containment(
-                g, start, sched, burn_cap=18,
-                probes=lattice_probes(lattice_map(g, start, "rect"),
-                                      "rect"))
+            # a configuration's start has degree 3: no rect ball, no probe
+            res = min_burned_containment(g, start, sched, burn_cap=18)
             if not res.feasible:
                 raise NotApplicable(
                     f"no cap-18 containment from start {start}")

@@ -45,7 +45,7 @@ def test_criterion_1_hex_strategy_and_oracle():
     res = min_burned_containment(
         g, 0, sched, burn_cap=6,
         probes=strategies.lattice_probes(
-            strategies.lattice_map(g, 0, "hex"), "hex"))
+            classify.grid_ball(g, 0, "hex")[0], "hex"))
     assert res.feasible and res.proven
     assert res.trace.burned_count <= 6
     assert time.monotonic() - t0 <= 60

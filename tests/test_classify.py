@@ -73,7 +73,7 @@ def test_contiguous_elements_deduplicates():
 def test_config_wrong_degree():
     g = F.rect_grid(3, 3)
     with pytest.raises(WrongContext):
-        detect_local_configs(g, 4)  # centre has degree 4
+        list(detect_local_configs(g, 4))  # centre has degree 4
 
 
 def test_config_31_cube():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_connected_graph
-from firecontain import engine, families as F, randgen
+from firecontain import classify, engine, families as F, randgen
 from firecontain.engine import (
     ContainmentResult,
     Schedule,
@@ -21,12 +21,7 @@ from firecontain.engine import (
     sn_exact,
 )
 from firecontain.errors import StrategyBudgetViolation
-from firecontain.strategies import (
-    lattice_map,
-    lattice_probes,
-    load_plan,
-    mapped_plan,
-)
+from firecontain.strategies import lattice_probes, load_plan
 from oracles import (
     containment_reference,
     frontier,
@@ -188,8 +183,16 @@ def _engine_corpus():
         yield randgen.random_tf_maximal(40, seed)
 
 
+def _grid_probes(g, start, lattice):
+    """The packaged ``lattice`` plan mapped through ``start``'s grid ball,
+    as a probe, or none at a start of another degree."""
+    if g.degree(start) != len(classify.GRID_LATTICES[lattice][0]):
+        return []
+    return lattice_probes(classify.grid_ball(g, start, lattice)[0], lattice)
+
+
 def test_run_simulation_matches_the_reference_round_engine():
-    plans = [(Schedule(*plan["schedule"]), plan)
+    plans = [(Schedule(*plan["schedule"]), plan["lattice"])
              for plan in map(load_plan, ("hex_containment",
                                          "rect_containment"))]
     for g in _engine_corpus():
@@ -197,10 +200,9 @@ def test_run_simulation_matches_the_reference_round_engine():
             runs = [(sched, strat)
                     for sched in (Schedule(4, 3), Schedule.constant(2))
                     for strat in (null_strategy,) + engine.DEFAULT_PROBES]
-            for sched, plan in plans:
-                mapped = mapped_plan(g, start, plan)
-                if mapped is not None:
-                    runs.append((sched, plan_strategy(mapped)))
+            for sched, lattice in plans:
+                runs.extend((sched, probe)
+                            for probe in _grid_probes(g, start, lattice))
             for sched, strat in runs:
                 assert run_simulation(g, start, sched, strat) == \
                     run_simulation_reference(g, start, sched, strat)
@@ -232,6 +234,19 @@ def test_budget_violations_match_the_reference_round_engine():
         for start in (0, 40):
             assert _violation(run_simulation, g, start, strategy) == \
                 _violation(run_simulation_reference, g, start, strategy)
+
+
+@pytest.mark.parametrize("v", [-1, 4, True], ids=["negative", "n", "bool"])
+def test_a_protection_that_names_no_vertex_is_a_violation(v):
+    # each of -1, n and True used to get past the round step: a bare
+    # ValueError, a protection reported a round late, and vertex 1
+    g, one = F.path(4), Schedule.constant(1)
+    with pytest.raises(StrategyBudgetViolation, match="not vertices"):
+        advance_round(g, ignite(0), [v], 1)
+    with pytest.raises(StrategyBudgetViolation, match="not vertices"):
+        run_simulation(g, 0, one, lambda g, state, budget: [v])
+    with pytest.raises(StrategyBudgetViolation, match="not vertices"):
+        run_simulation(g, 0, one, plan_strategy([[v]]))
 
 
 _SMALL_GRAPHS = (F.path(6), F.star(5), F.rect_grid(5, 5), F.hex_patch(2),
@@ -316,7 +331,7 @@ def _containment_outcomes(g, sched, cap, node_limit):
     for start in range(g.n):
         res = min_burned_containment(
             g, start, sched, burn_cap=cap, node_limit=node_limit,
-            probes=lattice_probes(lattice_map(g, start, lattice), lattice))
+            probes=_grid_probes(g, start, lattice))
         out.append((res.status, res.nodes,
                     None if res.trace is None else res.trace.to_json()))
     return out

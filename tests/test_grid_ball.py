@@ -7,8 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import capped_triangulated_tube, square_grid_tube
 from firecontain import families as F, randgen, strategies
-from firecontain.classify import GRID_LATTICES, grid_neighborhood_test
-from firecontain.strategies import lattice_map, load_plan, mapped_plan
+from firecontain.classify import (
+    GRID_LATTICES,
+    grid_ball,
+    grid_neighborhood_test,
+)
+from firecontain.errors import NotApplicable, WrongContext
+from firecontain.strategies import checked_grid_plan, load_plan
 from oracles import (
     hex_escape_path_reference,
     mapped_plan_reference,
@@ -35,14 +40,23 @@ def test_ball_walk_equals_the_reference_walks(make):
     plans = {lat: load_plan(f"{lat}_containment") for lat in GRID_LATTICES}
     for v in g.vertices():
         for lat, (dirs, _) in GRID_LATTICES.items():
-            if g.degree(v) == len(dirs):
-                ok, esc, _ = grid_neighborhood_test(g, v, lat)
-                ref = ESCAPE_REFERENCES[lat](g, v)
-                assert esc == ref
-                assert ok == (ref is None and
-                              lattice_map(g, v, lat) is not None)
-            assert mapped_plan(g, v, plans[lat]) == \
-                mapped_plan_reference(g, v, plans[lat])
+            want = mapped_plan_reference(g, v, plans[lat])
+            if g.degree(v) != len(dirs):
+                with pytest.raises(WrongContext):
+                    grid_ball(g, v, lat)
+                assert want is None
+                continue
+            ok, esc, at = grid_neighborhood_test(g, v, lat)
+            ref = ESCAPE_REFERENCES[lat](g, v)
+            assert esc == ref
+            assert ok == (ref is None and at is not None)
+            assert want == (None if at is None
+                            else strategies._through(at, plans[lat]))
+            if ok:
+                assert checked_grid_plan(g, v, lat) == want
+            else:
+                with pytest.raises(NotApplicable):
+                    checked_grid_plan(g, v, lat)
 
 
 # -- soundness of the purity test -------------------------------------------

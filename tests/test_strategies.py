@@ -13,13 +13,12 @@ from firecontain.engine import (
 from firecontain.errors import (
     CorruptPlan,
     NotApplicable,
+    WrongContext,
 )
 from firecontain.strategies import (
     checked_grid_plan,
-    lattice_map,
     lattice_probes,
     load_plan,
-    mapped_plan,
     theorem_dispatch,
 )
 from oracles import dispatch_reference
@@ -74,7 +73,7 @@ def test_rect_plan_caps_are_met_by_a_searched_plan():
 
 def test_lattice_map_hex():
     g = F.hex_patch(3)
-    at = lattice_map(g, 0, "hex")
+    at = classify.grid_ball(g, 0, "hex")[0]
     assert at is not None
     assert at[(0, 0)] == 0
     # mapped cells are real vertices with consistent adjacency
@@ -88,7 +87,7 @@ def test_lattice_map_hex():
 def test_lattice_map_rect():
     g = F.rect_grid(7, 7)
     centre = 3 * 7 + 3
-    at = lattice_map(g, centre, "rect")
+    at = classify.grid_ball(g, centre, "rect")[0]
     assert at is not None and at[(0, 0)] == centre
     for (x, y), v in at.items():
         for dx, dy in F.RECT_DIRS:
@@ -99,8 +98,11 @@ def test_lattice_map_rect():
 
 def test_lattice_map_fails_off_grid():
     g = F.platonic("icosahedron")  # degree 5 everywhere
-    assert lattice_map(g, 0, "hex") is None
-    assert lattice_map(g, 0, "rect") is None
+    for lattice in ("hex", "rect"):
+        with pytest.raises(WrongContext):
+            classify.grid_ball(g, 0, lattice)
+        with pytest.raises(NotApplicable):
+            checked_grid_plan(g, 0, lattice)
 
 
 def test_hex_strategy_contract():
@@ -133,13 +135,55 @@ def test_rect_strategy_not_applicable_small_grid():
         checked_grid_plan(g, 12, "rect")
 
 
+def test_grid_plans_walk_the_ball_once(monkeypatch):
+    # one grid-ball walk gives both the purity verdict and the offsets a
+    # plan maps through: at the load-time guard, at each checked_grid_plan
+    # call, and at each grid start the dispatcher hands a plan
+    walked = []
+    walk = classify.grid_ball
+    monkeypatch.setattr(classify, "grid_ball", lambda g, v, lattice:
+                        walked.append(v) or walk(g, v, lattice))
+    load_plan.cache_clear()
+    for name in ("hex_containment", "rect_containment"):
+        load_plan(name)
+    assert walked == [0, 8 * 17 + 8]
+    cases = [(F.hex_patch(4), 0, "hex"), (F.hex_patch(2), 0, "hex"),
+             (F.rect_grid(17, 17), 8 * 17 + 8, "rect"),
+             (F.rect_grid(5, 5), 12, "rect")]
+    walked.clear()
+    for g, v, lattice in cases:
+        try:
+            checked_grid_plan(g, v, lattice)
+        except NotApplicable:
+            pass
+    assert walked == [v for _, v, _ in cases]
+    g = F.rect_grid(17, 17)
+    plan_for = theorem_dispatch(
+        classify.classify_triangle_free(g, mode="rules_only"))
+    walked.clear()
+    assert plan_for(g, 8 * 17 + 8)
+    assert walked == [8 * 17 + 8]
+
+
+def test_dispatch_checks_the_grid_plan_at_its_start():
+    # a grid rule hands out the packaged plan only where it passes the
+    # grid test and the replay there: the 5x5 grid is too small for it
+    rep = classify.ClassificationReport(
+        "trianglefree_thm5", "exact", {12: "X_4"},
+        {12: {"rule": "rect_neighborhood"}})
+    with pytest.raises(NotApplicable, match="rect_containment"):
+        theorem_dispatch(rep)(F.rect_grid(5, 5), 12)
+
+
 def test_lattice_probes_schedule_filter():
     g = F.rect_grid(17, 17)
     centre = 8 * 17 + 8
-    probes = lattice_probes(lattice_map(g, centre, "rect"), "rect")
+    probes = lattice_probes(classify.grid_ball(g, centre, "rect")[0], "rect")
     assert probes  # the rect plan maps here
     # the hex plan does not map around a degree-4 start
-    assert lattice_probes(lattice_map(g, centre, "hex"), "hex") == []
+    with pytest.raises(WrongContext):
+        classify.grid_ball(g, centre, "hex")
+    assert lattice_probes(None, "hex") == []
 
 
 def test_mapped_plan_drops_missing_offsets():
@@ -147,7 +191,8 @@ def test_mapped_plan_drops_missing_offsets():
     # simply omits them
     g = F.rect_grid(9, 9)
     plan = load_plan("rect_containment")
-    mapped = mapped_plan(g, 4 * 9 + 4, plan)
+    mapped = strategies._through(classify.grid_ball(g, 4 * 9 + 4, "rect")[0],
+                                 plan)
     assert mapped is not None
     total_cells = sum(len(r) for r in plan["rounds"])
     assert sum(len(r) for r in mapped) <= total_cells
@@ -198,7 +243,7 @@ def test_config_starts_are_feasible_at_cap_18():
     for seed in range(5):
         g = randgen.random_tf_maximal(16, seed)
         for v in range(g.n):
-            if g.degree(v) == 3 and classify.detect_local_configs(g, v):
+            if g.degree(v) == 3 and list(classify.detect_local_configs(g, v)):
                 res = min_burned_containment(g, v, Schedule.constant(2),
                                              burn_cap=18)
                 assert res.status == "feasible", (seed, v)
@@ -215,8 +260,8 @@ def test_dispatch_does_not_match_configurations_again(monkeypatch):
     g = randgen.random_tf_maximal(60, 3)
     rep = classify.classify_triangle_free(g)
     calls = []
-    configs = classify._local_configs
-    monkeypatch.setattr(classify, "_local_configs",
+    configs = classify.detect_local_configs
+    monkeypatch.setattr(classify, "detect_local_configs",
                         lambda g, v: calls.append(v) or configs(g, v))
     plan_for = theorem_dispatch(rep)
     for v in rep.x_vertices():
@@ -267,7 +312,7 @@ def test_containment_agrees_with_strategy_on_hex():
     g = F.hex_patch(4)
     res = min_burned_containment(
         g, 0, Schedule(4, 3), burn_cap=6,
-        probes=lattice_probes(lattice_map(g, 0, "hex"), "hex"))
+        probes=lattice_probes(classify.grid_ball(g, 0, "hex")[0], "hex"))
     assert res.feasible and res.trace.burned_count <= 6
 
 
@@ -356,7 +401,6 @@ def test_tube_middles_get_exact_witnesses_not_the_grid_rule(
     for v in middle:
         assert classify.grid_neighborhood_test(g, v, lattice) == \
             (False, None, None)
-        assert lattice_map(g, v, lattice) is None
         assert rep.side(v) == "X" and rep.evidence[v]["rule"] == "exact"
         trace = replay(g, v, sched, plan_for(g, v))
         assert trace.to_json() == rep.evidence[v]["trace"]
