@@ -3,10 +3,11 @@ maximality augmentations used before classification.
 
 All insertion goes through ``DartBuilder``, a mutable rotation system
 that keeps its faces traced as it grows and freezes once into a
-validated ``EmbeddedGraph``.  A chord between boundary positions i < j
-of a face is placed immediately after the previous boundary vertex in
-each endpoint's rotation, which splits the face into two faces; a new
-vertex is placed the same way at each boundary vertex it joins.
+validated ``EmbeddedGraph``.  Its darts carry stable integer labels in
+rotation order.  A chord between boundary positions i < j of a face is
+placed immediately after the previous boundary vertex in each
+endpoint's rotation, which splits the face into two faces; a new vertex
+is placed the same way at each boundary vertex it joins.
 """
 from __future__ import annotations
 
@@ -22,30 +23,37 @@ from .errors import (
 )
 
 
+_BITS = 40  # a dart's label lies in [0, _SPAN)
+_SPAN = 1 << _BITS
+
+
 class DartBuilder:
     """Mutable rotation system whose face list is kept up to date.
 
     ``faces`` holds every face boundary in exactly the order and with
     exactly the start that ``EmbeddedGraph.faces()`` traces: faces are
-    ranked by their least dart ``(u, index of v in rotations[u])`` and
-    walked from it, so a face's key is read from its first two vertices.
-    Inserting into a rotation keeps the relative order of the darts
-    already there, so an insertion only removes the face it splits and
-    places the faces replacing it by bisection on that key.  The cost of
-    an insertion is the length of the split face plus the degree of the
-    vertices it touches, not the size of the graph.
+    ranked by their least dart ``(u, position of v in rotations[u])`` and
+    walked from it.  Dart (u, v) has a stable label ``index[u][v]`` that
+    increases along u's rotation, so the int ``u << _BITS | label`` ranks
+    it, and ``keys`` holds the key of each face's first dart: faces are
+    found and placed by bisection in C.  ``succ[u][v]`` is the neighbour
+    after v around u.  A dart inserted after ``prev`` takes the label
+    halfway to the next; when that gap is closed, u's darts are labelled
+    afresh and the keys of the faces they lead re-read.  An insertion
+    keeps the order of the darts already there, so it only replaces the
+    face it splits, at the cost of that face's length and a list shift.
     """
 
     def __init__(self, g: EmbeddedGraph):
         self.faces: list[tuple[int, ...]] = [f.boundary for f in g.faces()]
-        self.rotations = [list(r) for r in g.rotations]
-        # index[u][v] is the position of v in rotations[u]
-        self.index = [{v: i for i, v in enumerate(r)} for r in g.rotations]
+        self.index = [_labels(r) for r in g.rotations]
+        self.succ = [dict(zip(r, r[1:] + r[:1])) for r in g.rotations]
+        self.keys = [self._key(f) for f in self.faces]
         self.positions = None if g.positions is None else list(g.positions)
 
     @property
     def n(self) -> int:
-        return len(self.rotations)
+        return len(self.index)
 
     def insert_vertex(self, face: Sequence[int],
                       attach_positions: Sequence[int]) -> None:
@@ -63,8 +71,8 @@ class DartBuilder:
         for p in attach_positions:
             self._insert_after(b[p], b[(p - 1) % len(b)], new)
         rot = attached[::-1]
-        self.rotations.append(rot)
-        self.index.append({v: i for i, v in enumerate(rot)})
+        self.index.append(_labels(rot))
+        self.succ.append(dict(zip(rot, rot[1:] + rot[:1])))
         if self.positions is not None:
             xs = [self.positions[v][0] for v in attached]
             ys = [self.positions[v][1] for v in attached]
@@ -87,7 +95,8 @@ class DartBuilder:
     def freeze(self) -> EmbeddedGraph:
         """Validate once through ``build``; the frozen graph traces and
         Euler-checks its own faces on first use."""
-        return build(self.rotations, positions=self.positions)
+        return build([sorted(lab, key=lab.__getitem__) for lab in self.index],
+                     positions=self.positions)
 
     # -- face bookkeeping ---------------------------------------------------
 
@@ -95,37 +104,43 @@ class DartBuilder:
         """Index in ``faces`` of the face walked by ``b``, which may start
         at any of its darts; a walk listed as in ``faces`` is found by its
         first dart alone."""
-        k = len(b)
-        index = self.index
-        if k < 2 or not 0 <= b[0] < len(index):
+        k, index = len(b), self.index
+        if k < 2 or min(b) < 0 or max(b) >= len(index):
             raise BadParameter(f"{b} is not a face of this graph")
         first = index[b[0]].get(b[1])
         if first is not None:
-            at = bisect_left(self.faces, (b[0], first), key=self._key)
+            at = bisect_left(self.keys, b[0] << _BITS | first)
             if at < len(self.faces) and self.faces[at] == b:
                 return at
-        if min(b) < 0 or max(b) >= len(index):
-            raise BadParameter(f"{b} is not a face of this graph")
         try:
-            key, s = min(((b[i], index[b[i]][b[(i + 1) % k]]), i)
+            key, s = min((b[i] << _BITS | index[b[i]][b[(i + 1) % k]], i)
                          for i in range(k))
         except KeyError:
             raise BadParameter(f"{b} is not a face of this graph") from None
-        at = bisect_left(self.faces, key, key=self._key)
+        at = bisect_left(self.keys, key)
         if at == len(self.faces) or self.faces[at] != b[s:] + b[:s]:
             raise BadParameter(f"{b} is not a face of this graph")
         return at
 
-    def _key(self, f: tuple[int, ...]) -> tuple[int, int]:
-        """The least dart of a face listed in ``faces``: its first."""
-        return f[0], self.index[f[0]][f[1]]
+    def _key(self, f: tuple[int, ...]) -> int:
+        """The key of a listed face's first dart; -1 for an empty walk."""
+        return f[0] << _BITS | self.index[f[0]][f[1]] if f else -1
 
     def _insert_after(self, u: int, prev: int, v: int) -> None:
-        rot, index = self.rotations[u], self.index[u]
-        i = index[prev] + 1
-        rot.insert(i, v)
-        for p in range(i, len(rot)):
-            index[rot[p]] = p
+        lab, succ = self.index[u], self.succ[u]
+        lo, after = lab[prev], succ[prev]
+        hi = lab[after] if lab[after] > lo else _SPAN  # prev is u's last
+        succ[prev], succ[v] = v, after
+        lab[v] = (lo + hi) // 2
+        if lab[v] == lo:
+            # the gap is closed: label u's darts afresh (the stable sort
+            # puts v, the last key, right after prev), and re-read the
+            # keys of the faces that they lead
+            self.index[u] = _labels(sorted(lab, key=lab.__getitem__))
+            keys = self.keys
+            for i in range(bisect_left(keys, u << _BITS),
+                           bisect_left(keys, (u + 1) << _BITS)):
+                keys[i] = self._key(self.faces[i])
 
     def _replace_face(self, at: int, new_darts: list[tuple[int, int]]
                       ) -> None:
@@ -133,23 +148,29 @@ class DartBuilder:
         faces through ``new_darts``: together they cover its darts.  The
         new edges cut the split face, an open disk, into one face per new
         dart, so each walk ends where it started."""
-        del self.faces[at]
-        rotations, index = self.rotations, self.index
-        for start in new_darts:
-            walk = []
-            best = None
-            u, v = start
+        faces, keys = self.faces, self.keys
+        del faces[at], keys[at]
+        index, succ = self.index, self.succ
+        for u0, v0 in new_darts:
+            u, v = u0, v0
+            best, s, walk = u << _BITS | index[u][v], 0, []
             while True:
-                key = (u, index[u][v])
-                if best is None or key < best:
-                    best, s = key, len(walk)
                 walk.append(u)
-                rot = rotations[v]
-                u, v = v, rot[(index[v][u] + 1) % len(rot)]
-                if (u, v) == start:
+                u, v = v, succ[v][u]
+                if u == u0 and v == v0:
                     break
-            i = bisect_left(self.faces, best, key=self._key)
-            self.faces.insert(i, tuple(walk[s:] + walk[:s]))
+                key = u << _BITS | index[u][v]
+                if key < best:
+                    best, s = key, len(walk)
+            i = bisect_left(keys, best)
+            faces.insert(i, tuple(walk[s:] + walk[:s]))
+            keys.insert(i, best)
+
+
+def _labels(order: Sequence[int]) -> dict[int, int]:
+    """Labels spread evenly over [0, _SPAN), increasing along ``order``."""
+    step = _SPAN // (len(order) + 1)
+    return {v: (i + 1) * step for i, v in enumerate(order)}
 
 
 def _on_walk(b: tuple[int, ...], positions: Sequence[int]) -> list[int]:

@@ -162,9 +162,10 @@ def init_tf_charges(g: EmbeddedGraph,
                     beta: Optional[Fraction] = None) -> ChargeLedger:
     g.require_triangle_free()
     for f in g.faces():
-        if len(set(f.boundary)) != len(f.boundary):
+        if f.degree < 3 or len(set(f.boundary)) != f.degree:
             raise NotTwoConnected(
-                f"face {f.id} repeats a vertex; boundaries must be cycles")
+                f"face {f.id} is shorter than 3 or repeats a vertex; "
+                f"boundaries must be cycles")
     if beta is None:
         beta = 2186 * alpha
     vc = {v: g.degree(v) - 4 for v in range(g.n)}

@@ -3,9 +3,10 @@
 A graph is stored as one cyclic neighbour list per vertex.  A built graph
 stores no faces: on first use they are traced once, with the
 next-edge-in-rotation rule, into a flat dart table.  Dart (u, v) gets the
-id ``off[u] + i``, v being ``rotations[u][i]``; the successor of (u, v)
-on its face is (v, w), w the neighbour after u around v; and each dart
-records the id of its face.  ``faces()``, ``edge_faces`` and
+id ``off[u] + pos[u][v]``, v being ``rotations[u][pos[u][v]]``; the
+successor of (u, v) on its face is (v, w), w the neighbour after u
+around v; and each dart records the id of its face.  The one-vertex
+graph has one face, with an empty walk.  ``faces()``, ``edge_faces`` and
 ``incident_faces`` are read from the table.  Face ids are stable only
 within a single trace.  During construction,
 ``augment.DartBuilder`` keeps the face list up to date, in the same order
@@ -18,8 +19,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import inf
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     AsymmetricAdjacency,
@@ -32,8 +34,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     """One traced face: a cyclic boundary walk."""
 
     id: int
@@ -129,40 +130,35 @@ class EmbeddedGraph:
             raise ContainsTriangle("graph contains a triangle")
 
     @cached_property
-    def _darts(self) -> tuple[dict[int, int], list[int], list[int],
+    def _darts(self) -> tuple[list[int], list[dict[int, int]], list[int],
                               tuple[Face, ...]]:
-        """The dart table: ``index[u * n + v]`` is the id of dart (u, v),
-        ``off[u]`` that of u's first dart, ``face`` the face id of each
-        dart; and the faces, traced in dart order."""
-        rot, n = self.rotations, self.n
+        """The dart table: dart (u, v) has id ``off[u] + pos[u][v]``, the
+        position of v in ``rotations[u]``; ``face`` holds each dart's face
+        id; and the faces, traced in dart order."""
+        rot = self.rotations
+        pos = [{v: i for i, v in enumerate(r)} for r in rot]
+        off = [0, *accumulate(map(len, rot))]
         tails = [u for u, r in enumerate(rot) for _ in r]
-        heads = [v for r in rot for v in r]
-        index = {u * n + v: d for d, (u, v) in enumerate(zip(tails, heads))}
         # the successor of (u, v) is (v, w), w the next of u around v
-        off = [0] * (n + 1)
-        nxt = [d + 1 for d in range(len(heads))]
-        for u, r in enumerate(rot):
-            off[u + 1] = off[u] + len(r)
-            if r:
-                nxt[off[u + 1] - 1] = off[u]
-        succ = [nxt[index[v * n + u]] for u, v in zip(tails, heads)]
-        face = [-1] * len(heads)
-        faces = []
-        for d0 in range(len(heads)):
+        succ = [off[v] + (pos[v][u] + 1) % len(rot[v])
+                for u, r in enumerate(rot) for v in r]
+        face = [-1] * len(succ)
+        faces = [] if succ else [Face(0, ())]
+        for d0 in range(len(succ)):
             if face[d0] < 0:
-                walk, d = [], d0
+                walk, d, f = [], d0, len(faces)
                 while face[d] < 0:
-                    face[d] = len(faces)
+                    face[d] = f
                     walk.append(tails[d])
                     d = succ[d]
                 if d != d0:
                     raise EmbeddingInconsistent("face walk does not close")
-                faces.append(Face(len(faces), tuple(walk)))
+                faces.append(Face(f, tuple(walk)))
         residual = self.n - self.num_edges + len(faces) - 2
         if residual != 0:
             raise EmbeddingInconsistent(
                 f"Euler residual {residual} != 0; not a sphere embedding")
-        return index, off, face, tuple(faces)
+        return off, pos, face, tuple(faces)
 
     def faces(self) -> tuple[Face, ...]:
         """Trace all faces; each directed edge is used exactly once."""
@@ -173,16 +169,15 @@ class EmbeddedGraph:
         """The faces of darts (u, v) and (v, u), by id: one face twice at
         a bridge."""
         self.require_verified()
-        index, _, face, faces = self._darts
-        a, b = sorted((face[index[u * self.n + v]],
-                       face[index[v * self.n + u]]))
+        off, pos, face, faces = self._darts
+        a, b = sorted((face[off[u] + pos[u][v]], face[off[v] + pos[v][u]]))
         return [faces[a], faces[b]]
 
     def incident_faces(self, v: int) -> tuple[Face, ...]:
         """The faces of the darts leaving v, by id; a walk that passes v
         several times is listed once."""
         self.require_verified()
-        _, off, face, faces = self._darts
+        off, _, face, faces = self._darts
         return tuple(faces[f] for f in sorted(set(face[off[v]:off[v + 1]])))
 
     # -- metrics -------------------------------------------------------------

@@ -15,7 +15,9 @@ costs the fire's growth, not the whole burning set.  The built-in
 strategies read the masks; a custom strategy may read ``burning`` and
 ``protected`` as frozensets, made on first access.  A capped run stops
 as soon as the burned count passes the cap: the count only grows, so
-such a probe could never be accepted.
+such a probe could never be accepted.  A run's trace builds its round
+records on first read, so a caller that reads only ``saved`` (the rate
+lower bound) never pays for them.
 
 Exact search: both searches hold vertex sets as ``int`` masks on one
 bitset layer, with the neighbour masks cached on the graph.
@@ -52,7 +54,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .embedding import EmbeddedGraph
 from .errors import StrategyBudgetViolation
@@ -85,9 +87,9 @@ class FireState:
     v): the burning and the protected vertices, and ``front_mask``, the
     unprotected, unburned neighbours of the burning set.  The front is
     carried by ``advance_round``; a state built without it (``ignite``)
-    gets it from the burning set when first needed.  ``burning`` and
-    ``protected`` are the same sets as frozensets, made on first access,
-    for strategies that want sets."""
+    gets it from the burning set when first needed, and keeps it.
+    ``burning`` and ``protected`` are the same sets as frozensets, made on
+    first access, for strategies that want sets."""
 
     __slots__ = ("burning_mask", "protected_mask", "round", "front_mask",
                  "__dict__")
@@ -108,19 +110,40 @@ class FireState:
         return frozenset(_vertices(self.protected_mask))
 
 
-@dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(NamedTuple):
     protect: tuple[int, ...]
     burned: tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class SimTrace:
-    start: int
-    schedule: Schedule
-    rounds: tuple[RoundRecord, ...]
-    saved: int
-    n: int
+    """One run; ``rounds`` is built from ``run_simulation``'s per-round
+    (protected, burned) masks on first read.  Equality and hash are those
+    of (start, schedule, rounds, saved, n)."""
+
+    def __init__(self, start: int, schedule: Schedule, rounds, saved: int,
+                 n: int, masks: Sequence[tuple[int, int]] = ()):
+        self.start, self.schedule, self.saved = start, schedule, saved
+        self.n, self._masks = n, masks
+        if rounds is not None:
+            self.rounds = rounds
+
+    @cached_property
+    def rounds(self) -> tuple[RoundRecord, ...]:
+        return tuple(RoundRecord(tuple(_vertices(p)), tuple(_vertices(b)))
+                     for p, b in self._masks)
+
+    def _key(self) -> tuple:
+        return self.start, self.schedule, self.rounds, self.saved, self.n
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SimTrace) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "SimTrace(start=%r, schedule=%r, rounds=%r, saved=%r, n=%r)" \
+            % self._key()
 
     @property
     def burned_count(self) -> int:
@@ -157,16 +180,11 @@ class SimTrace:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2
                 and all(type(b) is int for b in pair)):
             raise ValueError(f"schedule {pair!r} is not two ints")
-        return cls(
-            start=vertices([obj["start"]])[0],
-            schedule=Schedule(*pair),
-            rounds=tuple(
-                RoundRecord(vertices(r["protect"]), vertices(r["burned"]))
-                for r in obj["rounds"]
-            ),
-            saved=obj["saved"],
-            n=n,
-        )
+        start, schedule = vertices([obj["start"]])[0], Schedule(*pair)
+        rounds = tuple(RoundRecord(vertices(r["protect"]),
+                                   vertices(r["burned"]))
+                       for r in obj["rounds"])
+        return cls(start, schedule, rounds, obj["saved"], n)
 
 
 Decide = Callable[[EmbeddedGraph, FireState, int], Iterable[int]]
@@ -178,11 +196,12 @@ def ignite(start: int) -> FireState:
 
 def _front(g: EmbeddedGraph, state: FireState) -> int:
     """The state's frontier mask, carried or else taken from its burning
-    set."""
-    if state.front_mask is not None:
-        return state.front_mask
-    return (_neighbourhood(g.neighbour_masks, state.burning_mask)
-            & ~(state.burning_mask | state.protected_mask))
+    set once and kept."""
+    if state.front_mask is None:
+        state.front_mask = (_neighbourhood(g.neighbour_masks,
+                                           state.burning_mask)
+                            & ~(state.burning_mask | state.protected_mask))
+    return state.front_mask
 
 
 def advance_round(g: EmbeddedGraph, state: FireState,
@@ -194,16 +213,17 @@ def advance_round(g: EmbeddedGraph, state: FireState,
     for more protections than ``budget``, or for one that is not an ``int``
     in 0..n-1 or is already burning or protected."""
     prot = set(protections)
-    bad = [v for v in prot if type(v) is not int or not 0 <= v < g.n]
-    if bad:
-        raise StrategyBudgetViolation(
-            f"cannot protect {bad!r}: not vertices of this {g.n}-vertex graph")
+    n, bits = g.n, 0
+    for v in prot:
+        if type(v) is not int or not 0 <= v < n:
+            bad = [v for v in prot if type(v) is not int or not 0 <= v < n]
+            raise StrategyBudgetViolation(
+                f"cannot protect {bad!r}: not vertices of this {n}-vertex "
+                f"graph")
+        bits |= 1 << v
     if len(prot) > budget:
         raise StrategyBudgetViolation(
             f"{len(prot)} protections exceed budget {budget}")
-    bits = 0
-    for v in prot:
-        bits |= 1 << v
     clash = bits & (state.burning_mask | state.protected_mask)
     if clash:
         raise StrategyBudgetViolation(
@@ -222,19 +242,17 @@ def run_simulation(g: EmbeddedGraph, start: int, schedule: Schedule,
     return None once more than ``burn_cap`` vertices burn.  A round's
     budget and clash checks come before the cut."""
     state = ignite(start)
-    rounds = []  # (protections, burned mask) per round
+    masks = []  # (protected, burned) mask per round
     while front := _front(g, state):
-        round_no = state.round + 1
-        budget = schedule.budget(round_no)
-        prot = set(strategy(g, state, budget))
-        state = advance_round(g, state, prot, budget)
-        rounds.append((tuple(sorted(prot)), front & ~state.protected_mask))
+        budget = schedule.budget(state.round + 1)
+        was = state.protected_mask
+        state = advance_round(g, state, strategy(g, state, budget), budget)
+        masks.append((state.protected_mask ^ was,
+                      front & ~state.protected_mask))
         if state.burning_mask.bit_count() > burn_cap:
             return None
-    return SimTrace(start=start, schedule=schedule, rounds=tuple(
-        RoundRecord(prot, tuple(_vertices(burned)))
-        for prot, burned in rounds),
-        saved=g.n - state.burning_mask.bit_count(), n=g.n)
+    return SimTrace(start, schedule, None,
+                    g.n - state.burning_mask.bit_count(), g.n, masks)
 
 
 def plan_strategy(plan: Sequence[Sequence[int]]) -> Decide:
@@ -557,8 +575,9 @@ def _contain_by_dfs(g, start, schedule, burn_cap, node_limit
                     ) -> ContainmentResult:
     """Exact containment decision by depth-first search over protection
     subsets, on the bitset layer of ``sn_exact``.  A state that fails is
-    remembered with its round, keyed like a ``sn_exact`` state.  The
-    checks that need only the frontier run before the flood of the free
+    remembered keyed like a ``sn_exact`` state, but without its budget:
+    only round 1 burns just the start, and every later round has the same
+    budget.  The frontier checks run before the flood of the free
     component.
 
     A round that burns nothing empties the frontier, so a node at round r
@@ -597,7 +616,7 @@ def _contain_by_dfs(g, start, schedule, burn_cap, node_limit
         if front.bit_count() - budget > allowance:
             return None
         layers, reach_nbhd = _flood(masks, front, blocked)
-        key = (burning, protected & (reach_nbhd | nbhd), round_no)
+        key = (burning, protected & (reach_nbhd | nbhd))
         if key in failed:
             return None
         # dist - allowance never decreases while the fire spreads, so a

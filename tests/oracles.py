@@ -54,6 +54,8 @@ def faces_reference(g):
             if (u, v) != (start_u, start_v):
                 raise EmbeddingInconsistent("face walk does not close")
             faces.append(Face(len(faces), tuple(walk)))
+    if not g.num_edges:  # one vertex on the sphere: one face, no walk
+        faces.append(Face(0, ()))
     residual = g.n - g.num_edges + len(faces) - 2
     if residual != 0:
         raise EmbeddingInconsistent(

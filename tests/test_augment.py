@@ -1,8 +1,10 @@
+import hashlib
+import json
 import random
 
 import pytest
 
-from firecontain import families as F, randgen
+from firecontain import augment, families as F, randgen
 from firecontain.augment import (
     DartBuilder,
     augment_maximal_planar,
@@ -147,6 +149,53 @@ def test_builder_faces_track_traced_faces():
                 b.insert_vertex(face, attach)
             g = b.freeze()
             assert b.faces == [f.boundary for f in g.faces()]
+
+
+def _builder_state_is_consistent(b):
+    g = b.freeze()
+    assert b.faces == [f.boundary for f in g.faces()]
+    assert b.keys == sorted(b.keys) == [b._key(f) for f in b.faces]
+    for u, rot in enumerate(g.rotations):
+        labels = [b.index[u][v] for v in rot]
+        assert labels == sorted(set(labels))
+
+
+def test_builder_relabels_a_rotation_whose_gap_closes():
+    # stacking each new vertex into the face after dart (prev, hub) halves
+    # the same gap of the hub's rotation, until it has no label left
+    g = F.platonic("octahedron")
+    b = DartBuilder(g)
+    hub, (prev, after) = 0, g.rotations[0][:2]
+    gap = b.index[hub][after] - b.index[hub][prev]
+    relabelled = 0
+    for _ in range(gap.bit_length() + 1):
+        face = next(f for f in b.faces for i in range(len(f))
+                    if (f[i - 1], f[i]) == (prev, hub))
+        before = dict(b.index[hub])
+        b.insert_vertex(face, [0, 1, 2])
+        relabelled += any(b.index[hub][v] != x for v, x in before.items())
+        _builder_state_is_consistent(b)
+    assert relabelled == 1
+
+
+def test_builder_relabels_keep_generated_graphs(monkeypatch):
+    # sha256 of the rotations of oracles.random_*_reference(3000, 1),
+    # pinned since that reference re-traces every face after each vertex
+    # and is too slow to rerun here; an 8-bit label span makes each
+    # generator relabel dozens of times and must change nothing
+    want = {
+        "random_triangulation":
+            "088f40178ff5016ef729cddd5be55c4c9125f0d234a18d3022b072d4ce6679ec",
+        "random_tf_maximal":
+            "4f61e9adf8c1fe0763ec72c1434347a19b914082e391f4e105c7d41cccce800d",
+    }
+    for bits in (augment._BITS, 8):
+        monkeypatch.setattr(augment, "_BITS", bits)
+        monkeypatch.setattr(augment, "_SPAN", 1 << bits)
+        for name, digest in want.items():
+            g = getattr(randgen, name)(3000, 1)
+            assert hashlib.sha256(json.dumps(g.rotations).encode()
+                                  ).hexdigest() == digest, (name, bits)
 
 
 def test_builder_rejects_bad_insertions():

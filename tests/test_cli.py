@@ -103,6 +103,21 @@ def test_discharge(capsys):
     assert obj["conservation_residual"] == "0/1"
 
 
+@pytest.mark.parametrize("rot, context, error", [
+    ([[]], "trianglefree", "NotTwoConnected"),
+    ([[1], [0]], "trianglefree", "NotTwoConnected"),
+    ([[]], "planar", "NotTriangulation"),
+], ids=["K1-trianglefree", "K2-trianglefree", "K1-planar"])
+def test_discharge_on_tiny_graphs_names_the_hypothesis(tmp_path, capsys, rot,
+                                                      context, error):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"n": len(rot), "rotations": rot}))
+    code, out, err = run(capsys, "discharge", "--input", str(path),
+                         "--format", "rotation_json", "--context", context)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == error
+
+
 def test_discharge_custom_alpha(capsys):
     code, out, _ = run(capsys, "discharge", "--family", "icosahedron",
                        "--context", "planar", "--alpha", "1/100")

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from firecontain import classify, discharge, families as F, randgen
 from firecontain.augment import augment_maximal_planar, insert_vertex_in_face
 from firecontain.classify import ClassificationReport
+from firecontain.embedding import build
 from firecontain.discharge import (
     PLANAR_ALPHA,
     TF_ALPHA,
@@ -88,6 +89,19 @@ def test_tf_charges_guards():
         init_tf_charges(F.platonic("icosahedron"))
     with pytest.raises(NotTwoConnected):
         init_tf_charges(F.path(4))  # tree face repeats vertices
+
+
+@pytest.mark.parametrize("rot", [[[]], [[1], [0]]], ids=["K1", "K2"])
+def test_tiny_graphs_fail_the_hypotheses(rot):
+    # K1's one face is an empty walk and K2's a 2-walk: neither is a
+    # cycle, and neither is a triangle
+    g = build(rot)
+    (face,) = g.faces()
+    assert face.degree == 2 * len(rot) - 2
+    with pytest.raises(NotTwoConnected):
+        init_tf_charges(g)
+    with pytest.raises(NotTriangulation):
+        init_planar_charges(g)
 
 
 def test_random_suites_conserve():

@@ -249,6 +249,41 @@ def test_a_protection_that_names_no_vertex_is_a_violation(v):
         run_simulation(g, 0, one, plan_strategy([[v]]))
 
 
+def test_lazy_traces_equal_hash_and_serialise_like_eager_ones():
+    # run_simulation builds its round records on first read; the
+    # reference engine builds them as it goes
+    for g in _engine_corpus():
+        for start in (0, g.n // 2):
+            for strat in (null_strategy,) + engine.DEFAULT_PROBES:
+                sched = Schedule.constant(2)
+                got = run_simulation(g, start, sched, strat)
+                want = run_simulation_reference(g, start, sched, strat)
+                assert "rounds" not in vars(got)
+                assert hash(got) == hash(want)
+                got = run_simulation(g, start, sched, strat)
+                assert got == want and want == got
+                assert got.to_json() == want.to_json()
+                assert got.protection_plan() == want.protection_plan()
+                assert SimTrace.from_json(got.to_json(), g.n) == got
+                assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("prot", [[3, 1], [1, 8], [0, 2], [1, 2, 3]],
+                         ids=["valid", "non-vertex", "clash", "over-budget"])
+def test_advance_round_reads_a_generator_like_a_list(prot):
+    def outcome(protections):
+        try:
+            s = advance_round(g, ignite(0), protections, 2)
+        except StrategyBudgetViolation as err:
+            return str(err)
+        return s.burning_mask, s.protected_mask, s.round, s.front_mask
+
+    g = F.platonic("cube")
+    got = outcome(v for v in prot)
+    assert got == outcome(list(prot))
+    assert isinstance(got, str) == (prot != [3, 1])
+
+
 _SMALL_GRAPHS = (F.path(6), F.star(5), F.rect_grid(5, 5), F.hex_patch(2),
                  randgen.random_triangulation(30, 1),
                  randgen.random_tf_maximal(30, 1))
