@@ -7,12 +7,14 @@ validated ``EmbeddedGraph``.  Its darts carry stable integer labels in
 rotation order.  A chord between boundary positions i < j of a face is
 placed immediately after the previous boundary vertex in each
 endpoint's rotation, which splits the face into two faces; a new vertex
-is placed the same way at each boundary vertex it joins.
+is placed the same way at each boundary vertex it joins.  Both
+augmentations run one face-completion loop, ``_complete``, and differ
+only in the least face length they complete and the chord they pick.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .embedding import EmbeddedGraph, Face, build
 from .errors import (
@@ -198,7 +200,31 @@ def insert_vertex_in_face(g: EmbeddedGraph, face: Face,
     return b.freeze()
 
 
-def _chord_ok(b: DartBuilder, u: int, v: int) -> bool:
+def _complete(g: EmbeddedGraph, min_len: int, chord_rule) -> EmbeddedGraph:
+    """Insert the chord that ``chord_rule(builder, face)`` picks, (i, j)
+    or None, in the first face of at least ``min_len`` darts that gets
+    one, until no face gets one; ``g`` itself when no chord goes in.
+
+    The scan resumes at the split face.  Every face before it was scanned
+    and got no chord; a chord only adds edges and leaves those faces as
+    they are, so none of them gets one later; and the faces that replace
+    a split face rank after every face that preceded it.
+    """
+    b = DartBuilder(g)
+    at, changed = 0, False
+    while True:
+        for at in range(at, len(b.faces)):
+            face = b.faces[at]
+            chord = len(face) >= min_len and chord_rule(b, face)
+            if chord:
+                break
+        else:
+            return b.freeze() if changed else g
+        b.insert_chord(face, *chord)
+        changed = True
+
+
+def _free(b: DartBuilder, u: int, v: int) -> bool:
     return u != v and v not in b.index[u]
 
 
@@ -211,32 +237,15 @@ def augment_maximal_planar(g: EmbeddedGraph) -> EmbeddedGraph:
     already maximal planar.
     """
     g.require_verified()
-    b = DartBuilder(g)
-    # the faces that replace a split face all rank after every face that
-    # preceded it, so the first big face never moves backwards
-    at = 0
-    changed = False
-    while True:
-        at = next((i for i in range(at, len(b.faces))
-                   if len(b.faces[i]) > 3), None)
-        if at is None:
-            return b.freeze() if changed else g
-        face = b.faces[at]
-        k = len(face)
-        chord = None
-        # roots in increasing vertex id, then walk position
-        for _, p in sorted((face[p], p) for p in range(k)):
-            for step in range(2, k - 1):
-                q = (p + step) % k
-                if _chord_ok(b, face[p], face[q]):
-                    chord = (p, q)
-                    break
-            if chord:
-                break
-        if chord is None:
-            raise CannotTriangulate(f"face {face} admits no new chord")
-        b.insert_chord(face, *chord)
-        changed = True
+
+    def fan_chord(b: DartBuilder, face: tuple[int, ...]) -> tuple[int, int]:
+        k = len(face)  # roots in increasing vertex id, then walk position
+        for _, i in sorted((v, i) for i, v in enumerate(face)):
+            for j in range(i + 2, i + k - 1):
+                if _free(b, face[i], face[j % k]):
+                    return i, j % k
+        raise CannotTriangulate(f"face {face} admits no new chord")
+    return _complete(g, 4, fan_chord)
 
 
 def augment_maximal_triangle_free(g: EmbeddedGraph) -> EmbeddedGraph:
@@ -244,35 +253,14 @@ def augment_maximal_triangle_free(g: EmbeddedGraph) -> EmbeddedGraph:
     faces of degree >= 5 until none is insertable.  Returns ``g`` itself
     when no chord is insertable."""
     g.require_triangle_free()
-    b = DartBuilder(g)
-    index = b.index
-    # a face with no insertable chord keeps none, since edges are only
-    # added, and the faces replacing a split face rank after it: so the
-    # scan resumes at the last split face instead of the first face
-    at = 0
-    changed = False
-    while True:
-        chord = None
-        for at in range(at, len(b.faces)):
-            face = b.faces[at]
-            k = len(face)
-            if k < 5:
-                continue
-            for i in range(k):
-                for step in range(2, k - 1):
-                    j = (i + step) % k
-                    u, v = face[i], face[j]
-                    if not _chord_ok(b, u, v):
-                        continue
-                    if index[u].keys() & index[v].keys():
-                        continue  # chord would close a triangle
-                    chord = (face, i, j)
-                    break
-                if chord:
-                    break
-            if chord:
-                break
-        if chord is None:
-            return b.freeze() if changed else g
-        b.insert_chord(*chord)
-        changed = True
+
+    def first_chord(b: DartBuilder, face: tuple[int, ...]
+                    ) -> Optional[tuple[int, int]]:
+        k, index = len(face), b.index
+        for i, u in enumerate(face):
+            for j in range(i + 2, i + k - 1):
+                v = face[j % k]
+                if _free(b, u, v) and not index[u].keys() & index[v].keys():
+                    return i, j % k
+        return None
+    return _complete(g, 5, first_chord)

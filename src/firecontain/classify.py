@@ -535,6 +535,13 @@ def _check_y3_y53_cap(g, y3, y53):
     return ClaimResult("y3_y53_adjacency_cap", not bad, tuple(bad))
 
 
+def _y3_near(g, v, y3) -> tuple[set, set]:
+    """The Y_3 vertices contiguous with or 5-adjacent to ``v``, and the
+    5-adjacent ones."""
+    fives = {u for u in _five_adjacent_vertices(g, v) if u in y3}
+    return {u for u in _contiguous_vertices(g, v) if u in y3} | fives, fives
+
+
 def _check_y6_cap(g, report, y3):
     """At most six Y_3 vertices are contiguous with or 5-adjacent to a Y_6
     vertex; with exactly six, at least two are 5-adjacent."""
@@ -542,9 +549,7 @@ def _check_y6_cap(g, report, y3):
     for v in range(g.n):
         if report.labels[v] != "Y_6":
             continue
-        near = {u for u in _contiguous_vertices(g, v) if u in y3}
-        fives = {u for u in _five_adjacent_vertices(g, v) if u in y3}
-        near |= fives
+        near, fives = _y3_near(g, v, y3)
         if len(near) > 6:
             bad.append((v, sorted(near)))
         elif len(near) == 6 and len(fives) < 2:
@@ -560,8 +565,7 @@ def _check_high_degree_cap(g, report, y3):
         d = g.degree(v)
         if d < 7 or report.side(v) != "Y":
             continue
-        near = {u for u in _contiguous_vertices(g, v) if u in y3}
-        near |= {u for u in _five_adjacent_vertices(g, v) if u in y3}
+        near, _ = _y3_near(g, v, y3)
         if len(near) > d:
             bad.append((v, sorted(near)))
     return ClaimResult("high_degree_y3_cap", not bad, tuple(bad))

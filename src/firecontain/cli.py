@@ -3,6 +3,8 @@
 Subcommands: generate, simulate, solve, classify, discharge, rate,
 render.  All output is deterministic JSON (sorted keys, rationals as
 "p/q").  Exit codes: 0 ok, 2 input/hypothesis error, 3 timeout/partial.
+``--config`` values are checked like their flags and become the
+subcommand's defaults, so the flags given win.
 """
 from __future__ import annotations
 
@@ -116,18 +118,11 @@ def _write(out: str, files: dict[str, str]) -> None:
         raise BadParameter(f"--out {out}: {exc!r}") from None
 
 
-def _given_flags(parser, subparser, argv) -> set[str]:
-    """The destinations of the flags given on the command line: ``argv``
-    parsed again with every default of ``subparser`` suppressed."""
-    for action in subparser._actions:
-        action.default = argparse.SUPPRESS
-    return set(vars(parser.parse_args(argv)))
-
-
-def _apply_config(args, subparser, given) -> None:
-    """Set the flags not ``given`` from the ``--config`` object, read as
-    flag text; config values replace defaults.  A key that names no flag
-    of the subcommand is a BadParameter."""
+def _apply_config(args, subparser) -> None:
+    """Make the ``--config`` object's values, read as flag text, the
+    defaults of ``subparser``, so that flags given on the command line
+    win.  A key that names no flag of the subcommand, or a value that its
+    flag would refuse, is a BadParameter."""
     actions = {a.dest: a for a in subparser._actions}
     config = _read(args.config, "--config", json.loads)
     if type(config) is not dict:
@@ -138,8 +133,6 @@ def _apply_config(args, subparser, given) -> None:
         if action is None:
             raise BadParameter(
                 f"--config {key}: not a flag of {args.command}")
-        if attr in given:
-            continue
         if action.nargs == 0:  # a switch: a bool
             if type(value) is not bool:
                 raise BadParameter(f"--config {key}: needs true or false")
@@ -149,7 +142,7 @@ def _apply_config(args, subparser, given) -> None:
                 subparser._check_value(action, value)
             except argparse.ArgumentError as exc:
                 raise BadParameter(f"--config {key}: {exc}") from None
-        setattr(args, attr, value)
+        subparser.set_defaults(**{attr: value})
 
 
 def main(argv=None) -> int:
@@ -212,9 +205,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         if args.config:
-            subparser = sub.choices[args.command]
-            _apply_config(args, subparser,
-                          _given_flags(ap, subparser, argv))
+            _apply_config(args, sub.choices[args.command])
+            args = ap.parse_args(argv)
         return _dispatch(args)
     except FireContainError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)},
@@ -316,7 +308,7 @@ def _dispatch(args) -> int:
                                f"do not give this fire on this graph")
         svgs = render.render_trace(g, trace)
         _write(args.out, {f"round_{k:02d}.svg": s for k, s in enumerate(svgs)})
-        print(json.dumps({"rounds": len(trace.rounds),
+        print(json.dumps({"rounds": len(trace.masks),
                           "dir": str(pathlib.Path(args.out))}, sort_keys=True))
         return EXIT_OK
 

@@ -33,7 +33,7 @@ from .classify import (
     special_sets,
 )
 from .embedding import EmbeddedGraph
-from .errors import NoEscapePath, NotTwoConnected
+from .errors import HypothesisViolated, NoEscapePath, NotTwoConnected
 from .formats import rational
 
 PLANAR_ALPHA = Fraction(1, 872)
@@ -131,6 +131,8 @@ def _escape_transfers(g, ledger, classification, lattice):
 def init_planar_charges(g: EmbeddedGraph,
                         alpha: Fraction = PLANAR_ALPHA) -> ChargeLedger:
     classify.require_triangulation(g)
+    if g.n < 4:  # K3, the one triangulation with a degree-2 vertex
+        raise HypothesisViolated("the planar charges need minimum degree 3")
     vc = {v: g.degree(v) - 6 for v in range(g.n)}
     ledger = ChargeLedger("planar_sigma", vc, {}, alpha, None)
     assert ledger.total() == -12

@@ -8,16 +8,16 @@ Simulation: ``advance_round`` is the one round step, and
 ``run_simulation`` the one loop over it; the containment probes call it
 with a burn cap.  A ``FireState`` holds its burning and protected sets
 and its frontier, the free part of N(burning), as ``int`` masks over
-``g.neighbour_masks``.  After a spread the old
-frontier is burning or protected, so the new frontier is the free part
-of the neighbour masks of the newly burned vertices alone, and a round
-costs the fire's growth, not the whole burning set.  The built-in
-strategies read the masks; a custom strategy may read ``burning`` and
-``protected`` as frozensets, made on first access.  A capped run stops
-as soon as the burned count passes the cap: the count only grows, so
-such a probe could never be accepted.  A run's trace builds its round
-records on first read, so a caller that reads only ``saved`` (the rate
-lower bound) never pays for them.
+``g.neighbour_masks``; the frontier is carried from ignition.  After a
+spread the old frontier is burning or protected, so the new frontier is
+the free part of the neighbour masks of the newly burned vertices alone,
+and a round costs the fire's growth, not the whole burning set.  The
+built-in strategies read the masks; a custom strategy may read
+``burning`` and ``protected`` as frozensets, made on first access.  A
+capped run stops as soon as the burned count passes the cap: the count
+only grows, so such a probe could never be accepted.  A run is its
+masks: a trace keeps each round's (protected, burned) masks, and builds
+round records from them only when ``rounds`` is read.
 
 Exact search: both searches hold vertex sets as ``int`` masks on one
 bitset layer, with the neighbour masks cached on the graph.
@@ -85,17 +85,16 @@ class Schedule:
 class FireState:
     """The fire after ``round`` rounds, on bit masks (bit v for vertex
     v): the burning and the protected vertices, and ``front_mask``, the
-    unprotected, unburned neighbours of the burning set.  The front is
-    carried by ``advance_round``; a state built without it (``ignite``)
-    gets it from the burning set when first needed, and keeps it.
-    ``burning`` and ``protected`` are the same sets as frozensets, made on
-    first access, for strategies that want sets."""
+    unprotected, unburned neighbours of the burning set, carried from
+    ``ignite`` by ``advance_round``.  ``burning`` and ``protected`` are
+    the same sets as frozensets, made on first access, for strategies
+    that want sets."""
 
     __slots__ = ("burning_mask", "protected_mask", "round", "front_mask",
                  "__dict__")
 
     def __init__(self, burning_mask: int, protected_mask: int, round: int,
-                 front_mask: Optional[int] = None):
+                 front_mask: int):
         self.burning_mask = burning_mask
         self.protected_mask = protected_mask
         self.round = round
@@ -115,93 +114,68 @@ class RoundRecord(NamedTuple):
     burned: tuple[int, ...]
 
 
-class SimTrace:
-    """One run; ``rounds`` is built from ``run_simulation``'s per-round
-    (protected, burned) masks on first read.  Equality and hash are those
-    of (start, schedule, rounds, saved, n)."""
+class SimTrace(NamedTuple):
+    """One run is its masks: the (protected, burned) masks of each round,
+    which ``rounds`` reads as vertex tuples, beside its start, schedule,
+    saved count and the graph's order."""
 
-    def __init__(self, start: int, schedule: Schedule, rounds, saved: int,
-                 n: int, masks: Sequence[tuple[int, int]] = ()):
-        self.start, self.schedule, self.saved = start, schedule, saved
-        self.n, self._masks = n, masks
-        if rounds is not None:
-            self.rounds = rounds
+    start: int
+    schedule: Schedule
+    masks: tuple[tuple[int, int], ...]
+    saved: int
+    n: int
 
-    @cached_property
+    @property
     def rounds(self) -> tuple[RoundRecord, ...]:
         return tuple(RoundRecord(tuple(_vertices(p)), tuple(_vertices(b)))
-                     for p, b in self._masks)
-
-    def _key(self) -> tuple:
-        return self.start, self.schedule, self.rounds, self.saved, self.n
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SimTrace) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return "SimTrace(start=%r, schedule=%r, rounds=%r, saved=%r, n=%r)" \
-            % self._key()
+                     for p, b in self.masks)
 
     @property
     def burned_count(self) -> int:
         return self.n - self.saved
 
     def protection_plan(self) -> list[list[int]]:
-        return [list(r.protect) for r in self.rounds]
+        return [_vertices(p) for p, _ in self.masks]
 
     def to_json(self) -> dict:
         return {
             "start": self.start,
             "schedule": self.schedule.as_pair(),
-            "rounds": [
-                {"protect": list(r.protect), "burned": list(r.burned)}
-                for r in self.rounds
-            ],
+            "rounds": [{"protect": _vertices(p), "burned": _vertices(b)}
+                       for p, b in self.masks],
             "saved": self.saved,
         }
 
     @classmethod
     def from_json(cls, obj: dict, n: int) -> "SimTrace":
         """The trace of ``obj`` on an ``n``-vertex graph; ValueError for a
-        vertex id that is not an int in 0..n-1 or a schedule that is not
-        two non-negative ints."""
-        def vertices(vs) -> tuple[int, ...]:
-            vs = tuple(vs)
+        round list that is not ascending vertex ids, ints in 0..n-1, or a
+        schedule that is not two non-negative ints."""
+        def mask(vs) -> int:
+            vs = list(vs)
             bad = [v for v in vs if type(v) is not int or not 0 <= v < n]
             if bad:
                 raise ValueError(f"{bad!r} are not vertices of this "
                                  f"{n}-vertex graph")
-            return vs
+            if any(u >= v for u, v in zip(vs, vs[1:])):
+                raise ValueError(f"{vs!r} is not ascending without repeats")
+            return sum(1 << v for v in vs)
 
         pair = obj["schedule"]
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2
                 and all(type(b) is int for b in pair)):
             raise ValueError(f"schedule {pair!r} is not two ints")
-        start, schedule = vertices([obj["start"]])[0], Schedule(*pair)
-        rounds = tuple(RoundRecord(vertices(r["protect"]),
-                                   vertices(r["burned"]))
-                       for r in obj["rounds"])
-        return cls(start, schedule, rounds, obj["saved"], n)
+        mask([obj["start"]])  # the start must be a vertex too
+        masks = tuple((mask(r["protect"]), mask(r["burned"]))
+                      for r in obj["rounds"])
+        return cls(obj["start"], Schedule(*pair), masks, obj["saved"], n)
 
 
 Decide = Callable[[EmbeddedGraph, FireState, int], Iterable[int]]
 
 
-def ignite(start: int) -> FireState:
-    return FireState(1 << start, 0, 0)
-
-
-def _front(g: EmbeddedGraph, state: FireState) -> int:
-    """The state's frontier mask, carried or else taken from its burning
-    set once and kept."""
-    if state.front_mask is None:
-        state.front_mask = (_neighbourhood(g.neighbour_masks,
-                                           state.burning_mask)
-                            & ~(state.burning_mask | state.protected_mask))
-    return state.front_mask
+def ignite(g: EmbeddedGraph, start: int) -> FireState:
+    return FireState(1 << start, 0, 0, g.neighbour_masks[start])
 
 
 def advance_round(g: EmbeddedGraph, state: FireState,
@@ -228,7 +202,7 @@ def advance_round(g: EmbeddedGraph, state: FireState,
     if clash:
         raise StrategyBudgetViolation(
             f"cannot protect burning/protected vertices {_vertices(clash)}")
-    newly = _front(g, state) & ~bits
+    newly = state.front_mask & ~bits
     burning = state.burning_mask | newly
     protected = state.protected_mask | bits
     front = _neighbourhood(g.neighbour_masks, newly) & ~(burning | protected)
@@ -241,9 +215,9 @@ def run_simulation(g: EmbeddedGraph, start: int, schedule: Schedule,
     """Run the process until no burning vertex has a free neighbour; or
     return None once more than ``burn_cap`` vertices burn.  A round's
     budget and clash checks come before the cut."""
-    state = ignite(start)
+    state = ignite(g, start)
     masks = []  # (protected, burned) mask per round
-    while front := _front(g, state):
+    while front := state.front_mask:
         budget = schedule.budget(state.round + 1)
         was = state.protected_mask
         state = advance_round(g, state, strategy(g, state, budget), budget)
@@ -251,8 +225,8 @@ def run_simulation(g: EmbeddedGraph, start: int, schedule: Schedule,
                       front & ~state.protected_mask))
         if state.burning_mask.bit_count() > burn_cap:
             return None
-    return SimTrace(start, schedule, None,
-                    g.n - state.burning_mask.bit_count(), g.n, masks)
+    return SimTrace(start, schedule, tuple(masks),
+                    g.n - state.burning_mask.bit_count(), g.n)
 
 
 def plan_strategy(plan: Sequence[Sequence[int]]) -> Decide:
@@ -285,7 +259,7 @@ def greedy_frontier_strategy(key: str = "degree") -> Decide:
     to seed incumbents; makes no guarantee."""
     def decide(g: EmbeddedGraph, state: FireState, budget: int) -> list[int]:
         # ascending, so the stable sort breaks ties by the least vertex
-        cand = _vertices(_front(g, state))
+        cand = _vertices(state.front_mask)
         if key == "degree":
             rot = g.rotations
             score = lambda v: -len(rot[v])

@@ -87,7 +87,7 @@ def _guaranteed(g: EmbeddedGraph, start: int, plan: dict) -> Optional[Plan]:
     trace = run_simulation(g, start, Schedule(*plan["schedule"]),
                            plan_strategy(mapped))
     if trace.burned_count > plan["burn_cap"] or \
-            len(trace.rounds) > plan["round_cap"]:
+            len(trace.masks) > plan["round_cap"]:
         return None
     return mapped
 

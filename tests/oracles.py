@@ -11,7 +11,6 @@ from firecontain.embedding import Face, build
 from firecontain.engine import (
     DEFAULT_PROBES,
     ContainmentResult,
-    RoundRecord,
     Schedule,
     SimTrace,
     SnResult,
@@ -88,31 +87,29 @@ def _mask(vertices):
 
 class _ReferenceState:
     """The reference's fire state: ``burning`` and ``protected`` held as
-    frozensets, with the masks that the built-in strategies read made
-    from them here, and no carried frontier."""
+    frozensets, with the masks that the built-in strategies read, the
+    frontier's included, made from them here."""
 
-    def __init__(self, burning, protected, round):
+    def __init__(self, g, burning, protected, round):
         self.burning, self.protected, self.round = burning, protected, round
         self.burning_mask = _mask(burning)
         self.protected_mask = _mask(protected)
-        self.front_mask = None
+        self.front_mask = _mask(frontier(g, burning, protected))
 
 
 def run_simulation_reference(g, start, schedule, strategy):
     """``engine.run_simulation`` without a carried frontier: every round
-    takes the frontier from the whole burning set, and the strategy sees
-    states that carry none."""
-    state = _ReferenceState(frozenset([start]), frozenset(), 0)
-    rounds = []
+    takes the frontier from the whole burning set."""
+    state = _ReferenceState(g, frozenset([start]), frozenset(), 0)
+    masks = []
     while frontier(g, state.burning, state.protected):
         round_no = state.round + 1
         budget = schedule.budget(round_no)
-        prot = sorted(set(strategy(g, state, budget)))
+        prot = set(strategy(g, state, budget))
         nxt = _advance_round_reference(g, state, prot, budget)
-        rounds.append(RoundRecord(tuple(prot),
-                                  tuple(sorted(nxt.burning - state.burning))))
+        masks.append((_mask(prot), _mask(nxt.burning - state.burning)))
         state = nxt
-    return SimTrace(start=start, schedule=schedule, rounds=tuple(rounds),
+    return SimTrace(start=start, schedule=schedule, masks=tuple(masks),
                     saved=g.n - len(state.burning), n=g.n)
 
 
@@ -127,7 +124,8 @@ def _advance_round_reference(g, state, protections, budget):
             f"cannot protect burning/protected vertices {sorted(clash)}")
     protected = state.protected | prot
     newly = frontier(g, state.burning, protected)
-    return _ReferenceState(state.burning | newly, protected, state.round + 1)
+    return _ReferenceState(g, state.burning | newly, protected,
+                           state.round + 1)
 
 
 def sn_reference(g, start, schedule):

@@ -63,6 +63,17 @@ def test_augment_maximal_planar_idempotent():
     assert augment_maximal_planar(g) is g
 
 
+def test_augmentations_return_the_graph_itself_when_no_chord_fits():
+    # the icosahedron's case is test_augment_maximal_planar_idempotent
+    g = randgen.random_tf_maximal(50, 1)
+    assert augment_maximal_triangle_free(g) is g
+    # each completes its output: run again, it inserts nothing
+    for augment_, g in ((augment_maximal_planar, F.rect_grid(3, 3)),
+                        (augment_maximal_triangle_free, F.cycle(8))):
+        done = augment_(g)
+        assert done is not g and augment_(done) is done
+
+
 def test_augment_maximal_triangle_free():
     g = F.cycle(8)
     t = augment_maximal_triangle_free(g)
@@ -95,7 +106,8 @@ def test_augment_triangle_free_idempotent_on_quadrangulation():
 def test_augment_maximal_planar_matches_reference():
     for g in (F.hex_patch(2), F.hex_patch(3), F.hex_patch(4),
               F.rect_grid(3, 3), F.rect_grid(4, 6), F.cycle(4), F.cycle(9),
-              _pentagon_wheel(), F.path(6), F.star(6)):
+              _pentagon_wheel(), F.path(6), F.star(6),
+              randgen.random_tree(12, 3)):
         assert_same_graph(augment_maximal_planar(g),
                           augment_maximal_planar_reference(g))
 

@@ -107,7 +107,8 @@ def test_discharge(capsys):
     ([[]], "trianglefree", "NotTwoConnected"),
     ([[1], [0]], "trianglefree", "NotTwoConnected"),
     ([[]], "planar", "NotTriangulation"),
-], ids=["K1-trianglefree", "K2-trianglefree", "K1-planar"])
+    ([[1, 2], [2, 0], [0, 1]], "planar", "HypothesisViolated"),
+], ids=["K1-trianglefree", "K2-trianglefree", "K1-planar", "K3-planar"])
 def test_discharge_on_tiny_graphs_names_the_hypothesis(tmp_path, capsys, rot,
                                                       context, error):
     path = tmp_path / "g.json"
@@ -345,6 +346,11 @@ RENDER = ("render", "--family", "path:5", "--trace", "@trace.json",
     ({"trace.json": '{"start": 0, "schedule": [1, 1], "rounds": '
                     '[{"protect": [1, 2], "burned": []}], "saved": 4}'},
      RENDER),
+    ({"trace.json": '{"start": 0, "schedule": [2, 2], "rounds": '
+                    '[{"protect": [2, 1], "burned": []}], "saved": 4}'},
+     RENDER),
+    ({"cfg.json": '{"k": "x"}'}, ("--config", "@cfg.json", *SOLVE,
+                                  "--k", "1")),
     ({"taken": ""}, ("generate", "--family", "cube", "--out", "@taken")),
     ({"trace.json": '{"start": 0, "schedule": [1, 1], "rounds": '
                     '[{"protect": [1], "burned": []}], "saved": 4}',
@@ -355,7 +361,8 @@ RENDER = ("render", "--family", "path:5", "--trace", "@trace.json",
         "config_config_key", "input_missing",
         "trace_without_schedule", "trace_not_json", "trace_start_99",
         "trace_burned_x", "trace_schedule_float", "trace_does_not_replay",
-        "trace_saved_not_int", "trace_over_budget", "generate_out_is_file",
+        "trace_saved_not_int", "trace_over_budget", "trace_descending",
+        "config_bad_value_of_given_flag", "generate_out_is_file",
         "render_out_is_file"])
 def test_bad_files_exit_2_with_json(tmp_path, capsys, files, argv):
     for name, text in files.items():

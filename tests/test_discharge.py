@@ -23,6 +23,7 @@ from firecontain.discharge import (
 )
 from firecontain.errors import (
     ContainsTriangle,
+    HypothesisViolated,
     NoEscapePath,
     NotTriangulation,
     NotTwoConnected,
@@ -102,6 +103,15 @@ def test_tiny_graphs_fail_the_hypotheses(rot):
         init_tf_charges(g)
     with pytest.raises(NotTriangulation):
         init_planar_charges(g)
+
+
+def test_k3_fails_the_planar_degree_hypothesis():
+    # K3 is a triangulation, but the sigma argument needs minimum degree
+    # 3: its charges of -4 used to reach the audit as x_bound violations
+    g = F.cycle(3)
+    with pytest.raises(HypothesisViolated) as err:
+        init_planar_charges(g)
+    assert type(err.value) is HypothesisViolated
 
 
 def test_random_suites_conserve():
