@@ -2,12 +2,10 @@
 maximality augmentations used before classification.
 
 All insertion goes through ``DartBuilder``, a mutable rotation system
-that keeps its faces traced as it grows and freezes once into a
-validated ``EmbeddedGraph``.  Its darts carry stable integer labels in
-rotation order.  A chord between boundary positions i < j of a face is
-placed immediately after the previous boundary vertex in each
-endpoint's rotation, which splits the face into two faces; a new vertex
-is placed the same way at each boundary vertex it joins.  Both
+that keeps its face list as it grows and freezes once into a validated
+``EmbeddedGraph`` without positions.  An inserted dart goes right after
+the previous boundary vertex of its face, and so right before the next,
+so the faces that split a face are written down from its boundary.  Both
 augmentations run one face-completion loop, ``_complete``, and differ
 only in the least face length they complete and the chord they pick.
 """
@@ -38,20 +36,17 @@ class DartBuilder:
     walked from it.  Dart (u, v) has a stable label ``index[u][v]`` that
     increases along u's rotation, so the int ``u << _BITS | label`` ranks
     it, and ``keys`` holds the key of each face's first dart: faces are
-    found and placed by bisection in C.  ``succ[u][v]`` is the neighbour
-    after v around u.  A dart inserted after ``prev`` takes the label
-    halfway to the next; when that gap is closed, u's darts are labelled
-    afresh and the keys of the faces they lead re-read.  An insertion
-    keeps the order of the darts already there, so it only replaces the
-    face it splits, at the cost of that face's length and a list shift.
+    found and placed by bisection in C.  The dart after (u, v) on a face
+    is (v, w), w after u around v; a dart put in at v between u and w
+    takes the label halfway between theirs, and when that gap is closed
+    v's darts are labelled afresh.  An insertion keeps the order of the
+    darts already there, so it only replaces the face it splits.
     """
 
     def __init__(self, g: EmbeddedGraph):
         self.faces: list[tuple[int, ...]] = [f.boundary for f in g.faces()]
         self.index = [_labels(r) for r in g.rotations]
-        self.succ = [dict(zip(r, r[1:] + r[:1])) for r in g.rotations]
         self.keys = [self._key(f) for f in self.faces]
-        self.positions = None if g.positions is None else list(g.positions)
 
     @property
     def n(self) -> int:
@@ -60,26 +55,22 @@ class DartBuilder:
     def insert_vertex(self, face: Sequence[int],
                       attach_positions: Sequence[int]) -> None:
         """Add a new vertex inside ``face`` joined to the given boundary
-        positions (in walk order); in a drawn graph it sits at the
-        centroid of its neighbours."""
+        positions, in cyclic walk order."""
         b = tuple(face)
         at = self._locate(b)
-        new = self.n
-        attached = _on_walk(b, attach_positions)
+        new, k, ps = self.n, len(b), list(attach_positions)
+        attached = _on_walk(b, ps)
         if not attached:
             raise Disconnected(f"new vertex {new} has no neighbour")
         if len(set(attached)) != len(attached):
             raise LoopOrMultiEdge(f"repeated neighbour at vertex {new}")
-        for p in attach_positions:
-            self._insert_after(b[p], b[(p - 1) % len(b)], new)
-        rot = attached[::-1]
-        self.index.append(_labels(rot))
-        self.succ.append(dict(zip(rot, rot[1:] + rot[:1])))
-        if self.positions is not None:
-            xs = [self.positions[v][0] for v in attached]
-            ys = [self.positions[v][1] for v in attached]
-            self.positions.append((sum(xs) / len(xs), sum(ys) / len(ys)))
-        self._replace_face(at, [(new, v) for v in rot])
+        arcs = [_arc(b, p, q) for p, q in zip(ps, ps[1:] + ps[:1])]
+        if sum(len(arc) - 1 for arc in arcs) != k:
+            raise BadParameter(f"positions {ps} are out of walk order")
+        for p in ps:
+            self._insert_between(b[p], b[p - 1], new, b[(p + 1) % k])
+        self.index.append(_labels(attached[::-1]))
+        self._replace_face(at, [(new,) + arc for arc in arcs])
 
     def insert_chord(self, face: Sequence[int], i: int, j: int) -> None:
         """Add the chord between boundary positions i and j of ``face``."""
@@ -90,15 +81,47 @@ class DartBuilder:
             raise LoopOrMultiEdge(f"loop at vertex {u}")
         if v in self.index[u]:
             raise LoopOrMultiEdge(f"repeated neighbour at vertex {u}")
-        self._insert_after(u, b[(i - 1) % len(b)], v)
-        self._insert_after(v, b[(j - 1) % len(b)], u)
-        self._replace_face(at, [(u, v), (v, u)])
+        self._insert_between(u, b[i - 1], v, b[(i + 1) % len(b)])
+        self._insert_between(v, b[j - 1], u, b[(j + 1) % len(b)])
+        self._replace_face(at, [_arc(b, i, j), _arc(b, j, i)])
+
+    def stack(self, at: int, corner: int = 0) -> None:
+        """Join a new vertex to every corner of ``faces[at]``, a triangle,
+        or to corners ``corner`` and ``corner + 2`` of a quadrilateral;
+        its vertices must be distinct.  The new vertex has the largest
+        id, so each new face is listed from its least old vertex, and the
+        one through the split face's first dart takes its place."""
+        f, x, put = self.faces[at], len(self.index), self._insert_between
+        if len(f) == 3:
+            a, b, c = f
+            put(a, c, x, b)
+            put(b, a, x, c)
+            put(c, b, x, a)
+            self.index.append(_labels((c, b, a)))
+            self.faces[at] = (a, b, x)
+            self._place((a, x, c))
+            self._place((b, c, x) if b < c else (c, x, b))
+        elif corner:
+            a, b, c, d = f
+            put(b, a, x, c)
+            put(d, c, x, a)
+            self.index.append(_labels((d, b)))
+            self.faces[at] = (a, b, x, d)
+            m = min(b, c, d)
+            self._place((b, c, d, x) if m == b else
+                        (c, d, x, b) if m == c else (d, x, b, c))
+        else:
+            a, b, c, d = f
+            put(a, d, x, b)
+            put(c, b, x, d)
+            self.index.append(_labels((c, a)))
+            self.faces[at] = (a, b, c, x)
+            self._place((a, x, c, d))
 
     def freeze(self) -> EmbeddedGraph:
         """Validate once through ``build``; the frozen graph traces and
         Euler-checks its own faces on first use."""
-        return build([sorted(lab, key=lab.__getitem__) for lab in self.index],
-                     positions=self.positions)
+        return build([sorted(lab, key=lab.__getitem__) for lab in self.index])
 
     # -- face bookkeeping ---------------------------------------------------
 
@@ -115,8 +138,7 @@ class DartBuilder:
             if at < len(self.faces) and self.faces[at] == b:
                 return at
         try:
-            key, s = min((b[i] << _BITS | index[b[i]][b[(i + 1) % k]], i)
-                         for i in range(k))
+            key, s = self._least(b)
         except KeyError:
             raise BadParameter(f"{b} is not a face of this graph") from None
         at = bisect_left(self.keys, key)
@@ -128,45 +150,45 @@ class DartBuilder:
         """The key of a listed face's first dart; -1 for an empty walk."""
         return f[0] << _BITS | self.index[f[0]][f[1]] if f else -1
 
-    def _insert_after(self, u: int, prev: int, v: int) -> None:
-        lab, succ = self.index[u], self.succ[u]
-        lo, after = lab[prev], succ[prev]
-        hi = lab[after] if lab[after] > lo else _SPAN  # prev is u's last
-        succ[prev], succ[v] = v, after
-        lab[v] = (lo + hi) // 2
-        if lab[v] == lo:
-            # the gap is closed: label u's darts afresh (the stable sort
-            # puts v, the last key, right after prev), and re-read the
-            # keys of the faces that they lead
-            self.index[u] = _labels(sorted(lab, key=lab.__getitem__))
-            keys = self.keys
-            for i in range(bisect_left(keys, u << _BITS),
-                           bisect_left(keys, (u + 1) << _BITS)):
-                keys[i] = self._key(self.faces[i])
+    def _least(self, w: tuple[int, ...]) -> tuple[int, int]:
+        """The key and the position of the least dart of the walk ``w``."""
+        k, index = len(w), self.index
+        return min((w[i] << _BITS | index[w[i]][w[(i + 1) % k]], i)
+                   for i in range(k))
 
-    def _replace_face(self, at: int, new_darts: list[tuple[int, int]]
-                      ) -> None:
-        """Drop ``faces[at]``, which the insertion split, and trace the
-        faces through ``new_darts``: together they cover its darts.  The
-        new edges cut the split face, an open disk, into one face per new
-        dart, so each walk ends where it started."""
-        faces, keys = self.faces, self.keys
-        del faces[at], keys[at]
-        index, succ = self.index, self.succ
-        for u0, v0 in new_darts:
-            u, v = u0, v0
-            best, s, walk = u << _BITS | index[u][v], 0, []
-            while True:
-                walk.append(u)
-                u, v = v, succ[v][u]
-                if u == u0 and v == v0:
-                    break
-                key = u << _BITS | index[u][v]
-                if key < best:
-                    best, s = key, len(walk)
-            i = bisect_left(keys, best)
-            faces.insert(i, tuple(walk[s:] + walk[:s]))
-            keys.insert(i, best)
+    def _insert_between(self, u: int, prev: int, v: int, after: int
+                        ) -> None:
+        """Label dart (u, v) to go between ``prev`` and ``after``."""
+        lab = self.index[u]
+        lo, hi = lab[prev], lab[after]
+        lab[v] = (lo + hi) // 2 if hi > lo else (lo + _SPAN) // 2
+        if lab[v] == lo:
+            self._relabel(u)
+
+    def _relabel(self, u: int) -> None:
+        """Label u's darts afresh, the last one labelled right after the
+        one it tied with, and re-read the keys of the faces they lead."""
+        lab = self.index[u] = _labels(sorted(self.index[u],
+                                              key=self.index[u].__getitem__))
+        keys, faces = self.keys, self.faces
+        for i in range(bisect_left(keys, u << _BITS),
+                       bisect_left(keys, (u + 1) << _BITS)):
+            keys[i] = u << _BITS | lab[faces[i][1]]
+
+    def _place(self, f: tuple[int, ...]) -> None:
+        """List the face ``f``, walked from its least dart."""
+        key = self._key(f)
+        at = bisect_left(self.keys, key)
+        self.faces.insert(at, f)
+        self.keys.insert(at, key)
+
+    def _replace_face(self, at: int, walks: list[tuple[int, ...]]) -> None:
+        """Drop ``faces[at]``, which an insertion split, and list the
+        closed walks it was split into, each from its least dart."""
+        del self.faces[at], self.keys[at]
+        for w in walks:
+            _, s = self._least(w)
+            self._place(w[s:] + w[:s])
 
 
 def _labels(order: Sequence[int]) -> dict[int, int]:
@@ -181,6 +203,11 @@ def _on_walk(b: tuple[int, ...], positions: Sequence[int]) -> list[int]:
         raise BadParameter(f"positions {list(positions)} are not all on "
                            f"the walk {b}")
     return [b[p] for p in positions]
+
+
+def _arc(b: tuple[int, ...], p: int, q: int) -> tuple[int, ...]:
+    """The walk ``b`` from position p to q, once round when p == q."""
+    return (b + b)[p:p + (q - p - 1) % len(b) + 2]
 
 
 def insert_chord(g: EmbeddedGraph, face: Face, i: int, j: int

@@ -4,7 +4,8 @@ Subcommands: generate, simulate, solve, classify, discharge, rate,
 render.  All output is deterministic JSON (sorted keys, rationals as
 "p/q").  Exit codes: 0 ok, 2 input/hypothesis error, 3 timeout/partial.
 ``--config`` values are checked like their flags and become the
-subcommand's defaults, so the flags given win.
+subcommand's defaults, required flags' too, so the flags given win.
+Argparse's refusals are BadParameter errors too.
 """
 from __future__ import annotations
 
@@ -22,6 +23,13 @@ from .errors import BadParameter, FireContainError
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_TIMEOUT = 3
+
+
+class _Parser(argparse.ArgumentParser):
+    """Refusals exit 2 with JSON; the subparsers are of this class too."""
+
+    def error(self, message):
+        raise BadParameter(message)
 
 
 def _add_source_args(p: argparse.ArgumentParser) -> None:
@@ -146,7 +154,7 @@ def _apply_config(args, subparser) -> None:
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="firecontain",
         description="Firefighter processes on embedded planar graphs")
     ap.add_argument("--config", help="JSON file with default flag values")
@@ -202,12 +210,19 @@ def main(argv=None) -> int:
     p.add_argument("--trace", required=True, help="trace JSON file")
     p.add_argument("--out", required=True, help="output directory")
 
-    args = ap.parse_args(argv)
+    # parse for --config, then again with its values as defaults, from
+    # which a required flag may take its value
+    required = [a for p in sub.choices.values() for a in p._actions
+                if a.required]
+    for action in required:
+        action.required = False
     try:
+        args = ap.parse_args(argv)
         if args.config:
             _apply_config(args, sub.choices[args.command])
-            args = ap.parse_args(argv)
-        return _dispatch(args)
+        for action in required:
+            action.required = action.default is None
+        return _dispatch(ap.parse_args(argv))
     except FireContainError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)},
                          sort_keys=True), file=sys.stderr)

@@ -8,10 +8,10 @@ successor of (u, v) on its face is (v, w), w the neighbour after u
 around v; and each dart records the id of its face.  The one-vertex
 graph has one face, with an empty walk.  ``faces()``, ``edge_faces`` and
 ``incident_faces`` are read from the table.  Face ids are stable only
-within a single trace.  During construction,
-``augment.DartBuilder`` keeps the face list up to date, in the same order
-and with the same starts as that trace, so generating or augmenting a graph
-never re-traces it.
+within a single trace.  ``augment.DartBuilder`` keeps a face list in
+that order and with those starts while it builds a graph, so it never
+re-traces one; the list is not handed over, and the frozen graph traces
+its own faces on first use.
 """
 from __future__ import annotations
 

@@ -22,7 +22,7 @@ def random_triangulation(n: int, seed: int) -> EmbeddedGraph:
     rng = random.Random(seed)
     b = DartBuilder(cycle(3))
     while b.n < n:
-        b.insert_vertex(rng.choice(b.faces), [0, 1, 2])
+        b.stack(rng.randrange(len(b.faces)))
     return b.freeze()
 
 
@@ -38,9 +38,7 @@ def random_tf_maximal(n: int, seed: int) -> EmbeddedGraph:
     rng = random.Random(seed)
     b = DartBuilder(cycle(4))
     while b.n < n:
-        face = rng.choice(b.faces)
-        corner = rng.randrange(2)
-        b.insert_vertex(face, [corner, corner + 2])
+        b.stack(rng.randrange(len(b.faces)), rng.randrange(2))
     return b.freeze()
 
 

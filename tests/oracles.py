@@ -404,7 +404,7 @@ def insert_chord_reference(g, face, i, j):
     pv = b[(j - 1) % k]
     rot[u].insert(rot[u].index(pu) + 1, v)
     rot[v].insert(rot[v].index(pv) + 1, u)
-    return build(rot, positions=g.positions)
+    return build(rot)
 
 
 def insert_vertex_reference(g, face, attach_positions):
@@ -417,18 +417,13 @@ def insert_vertex_reference(g, face, attach_positions):
         prev = b[(p - 1) % k]
         rot[b[p]].insert(rot[b[p]].index(prev) + 1, new)
     rot.append([b[p] for p in reversed(attach_positions)])
-    pos = None
-    if g.positions is not None:
-        xs = [g.positions[b[p]][0] for p in attach_positions]
-        ys = [g.positions[b[p]][1] for p in attach_positions]
-        pos = list(g.positions) + [(sum(xs) / len(xs), sum(ys) / len(ys))]
-    return build(rot, positions=pos)
+    return build(rot)
 
 
 def random_triangulation_reference(n, seed):
     """Stacked triangulation, re-tracing every face after each vertex."""
     rng = random.Random(seed)
-    g = cycle(3)
+    g = build(cycle(3).rotations)  # generated graphs have no positions
     while g.n < n:
         face = rng.choice(g.faces())
         g = insert_vertex_reference(g, face, [0, 1, 2])
@@ -438,7 +433,7 @@ def random_triangulation_reference(n, seed):
 def random_tf_maximal_reference(n, seed):
     """Stacked quadrangulation, re-tracing every face after each vertex."""
     rng = random.Random(seed)
-    g = cycle(4)
+    g = build(cycle(4).rotations)  # generated graphs have no positions
     while g.n < n:
         face = rng.choice(g.faces())
         corner = rng.randrange(2)

@@ -3,6 +3,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from firecontain import augment, families as F, randgen
 from firecontain.augment import (
@@ -25,6 +26,8 @@ from oracles import (
     augment_maximal_triangle_free_reference,
     insert_chord_reference,
     insert_vertex_reference,
+    random_tf_maximal_reference,
+    random_triangulation_reference,
 )
 from test_discharge import _pentagon_wheel
 
@@ -210,6 +213,29 @@ def test_builder_relabels_keep_generated_graphs(monkeypatch):
                                   ).hexdigest() == digest, (name, bits)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(4, 60), st.integers(),
+       st.sampled_from([augment._BITS, 8]))
+def test_stacking_matches_reference_and_keeps_the_builder_consistent(
+        n, seed, bits):
+    # stack() writes the new faces down; the reference re-traces them
+    # after every vertex.  At an 8-bit label span some graphs relabel.
+    for name, reference in (("random_triangulation",
+                             random_triangulation_reference),
+                            ("random_tf_maximal",
+                             random_tf_maximal_reference)):
+        held = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(augment, "_BITS", bits)
+            mp.setattr(augment, "_SPAN", 1 << bits)
+            mp.setattr(DartBuilder, "freeze",
+                       lambda b, freeze=DartBuilder.freeze:
+                       held.append(b) or freeze(b))
+            assert_same_graph(getattr(randgen, name)(n, seed),
+                              reference(n, seed))
+            _builder_state_is_consistent(held[0])
+
+
 def test_builder_rejects_bad_insertions():
     g = F.cycle(6)
     b = DartBuilder(g)
@@ -221,6 +247,9 @@ def test_builder_rejects_bad_insertions():
         insert_chord(g, g.faces()[0], 2, 2)
     with pytest.raises(Disconnected):
         insert_vertex_in_face(g, g.faces()[0], [])
+    # positions out of walk order would cross the new edges
+    with pytest.raises(BadParameter):
+        b.insert_vertex(b.faces[0], [0, 3, 1])
     # nothing above changed the builder
     assert b.freeze() == g
     assert b.faces == [f.boundary for f in g.faces()]

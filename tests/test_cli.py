@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from firecontain import cli, families as F, formats
 
@@ -199,6 +200,14 @@ def test_config_file_defaults(tmp_path, capsys):
                        "--family", "path:3", "--start", "0")
     assert code == 0
     assert json.loads(out)["value"] == 2
+    # a config file may give a required flag
+    cfg.write_text(json.dumps({"family": "path:5", "k": 1, "start": 0}))
+    assert run(capsys, "--config", str(cfg), "solve")[:2] == run(
+        capsys, "solve", "--family", "path:5", "--k", "1", "--start", "0")[:2]
+    cfg.write_text(json.dumps({"trace": "t.json", "out": "imgs"}))
+    code, _, err = run(capsys, "--config", str(cfg), "render",
+                       "--family", "path:5")
+    assert code == 2 and "--trace t.json" in json.loads(err)["message"]
 
 
 def test_render(tmp_path, capsys):
@@ -355,6 +364,13 @@ RENDER = ("render", "--family", "path:5", "--trace", "@trace.json",
     ({"trace.json": '{"start": 0, "schedule": [1, 1], "rounds": '
                     '[{"protect": [1], "burned": []}], "saved": 4}',
       "imgs": ""}, RENDER),
+    ({}, (*SOLVE, "--k", "x")),
+    ({}, (*SOLVE, "--k", "1", "--no-such-flag")),
+    ({}, ("solve", "--family", "path:3", "--k", "1")),
+    ({}, ("render", "--family", "path:5", "--out", "@imgs")),
+    # the config's start now reaches the command, which refuses it
+    ({"cfg.json": '{"start": 9, "k": 1}'},
+     ("--config", "@cfg.json", "solve", "--family", "path:3")),
 ], ids=["config_k_one", "config_malformed", "config_not_object",
         "config_pairs", "config_int_pairs", "config_switch_string",
         "config_missing", "config_unknown_key", "config_command_key",
@@ -363,7 +379,8 @@ RENDER = ("render", "--family", "path:5", "--trace", "@trace.json",
         "trace_burned_x", "trace_schedule_float", "trace_does_not_replay",
         "trace_saved_not_int", "trace_over_budget", "trace_descending",
         "config_bad_value_of_given_flag", "generate_out_is_file",
-        "render_out_is_file"])
+        "render_out_is_file", "solve_k_x", "unknown_flag",
+        "solve_without_start", "render_without_trace", "config_gives_start"])
 def test_bad_files_exit_2_with_json(tmp_path, capsys, files, argv):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -371,3 +388,60 @@ def test_bad_files_exit_2_with_json(tmp_path, capsys, files, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "BadParameter"
+
+
+# flags and values of the small commands a fuzzed command line is drawn
+# from; none writes a file (no --out) or runs long (tiny families only)
+FLAG_VALUES = {
+    "family": ["path:3", "cycle:4", "cube", "octahedron", "star", "x"],
+    "k": ["1", "2", "0", "x"], "start": ["0", "2", "9", "-1"],
+    "schedule": ["2,1", "1", "a,b"], "node-limit": ["1", "50", "0"],
+    "context": ["planar", "trianglefree", "girth5", "bad"],
+    "theorem": ["thm2_girth5", "thm3_planar", "k2n_upper", "nope"],
+    "strategy": ["null", "greedy", "rect"], "mode": ["rules_only", "x"],
+    "alpha": ["1/2", "0", "x"], "beta": ["1/3", "-1"],
+    "format": ["graph6", "rotation_json"], "input": ["@missing.json"],
+    "trace": ["@missing.json"], "output-format": ["graph6", "dot"],
+}
+VALUES = [v for vs in FLAG_VALUES.values() for v in vs]
+
+
+def _flag(name):
+    return st.tuples(st.just(f"--{name}"), st.sampled_from(FLAG_VALUES[name]))
+
+
+# a command with the flags it needs, then other flags, then at most one
+# stray token
+NEEDS = {"generate": [], "simulate": ["start", "k"], "solve": ["start", "k"],
+         "classify": ["context"], "discharge": ["context"], "rate": ["k"],
+         "render": ["trace"]}
+COMMAND_LINES = st.sampled_from(list(NEEDS)).flatmap(lambda cmd: st.tuples(
+    st.just([cmd]),
+    *map(_flag, ["family", *NEEDS[cmd]]),
+    st.lists(st.sampled_from(list(FLAG_VALUES)).flatmap(_flag), max_size=2)
+    .map(lambda pairs: [a for pair in pairs for a in pair]),
+    st.lists(st.sampled_from(["--allow-unverified", "--no-such-flag",
+                              "--k", *VALUES]), max_size=1),
+)).map(lambda parts: [a for part in parts for a in part])
+CONFIGS = st.dictionaries(
+    st.sampled_from([*FLAG_VALUES, "allow-unverified", "out_dir"]),
+    st.one_of(st.sampled_from(VALUES), st.integers(-2, 9), st.booleans(),
+              st.none()),
+    max_size=3)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(COMMAND_LINES, st.one_of(st.none(), CONFIGS))
+def test_fuzzed_command_lines_exit_0_2_or_3_with_json(tmp_path, capsys,
+                                                      argv, config):
+    argv = [a.replace("@", f"{tmp_path}/") for a in argv]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = ["--config", str(tmp_path / "cfg.json"), *argv]
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert out == "" and set(json.loads(err)) == {"error", "message"}
+    else:
+        json.loads(out)

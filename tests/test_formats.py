@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from firecontain import families as F
-from firecontain import formats
+from firecontain import formats, randgen
 from firecontain.errors import (
+    FireContainError,
     MalformedHeader,
     TruncatedRecord,
     UnverifiedEmbedding,
@@ -95,3 +98,30 @@ def test_rotation_json_rotations_must_be_lists(data):
 def test_parse_unknown_format():
     with pytest.raises(MalformedHeader):
         formats.parse(b"", "dot")
+
+
+def test_mutated_inputs_parse_or_raise_fire_contain_errors():
+    # seeded byte mutations of valid inputs in all three formats: each
+    # either parses or raises a FireContainError, never another exception
+    graphs = [F.platonic("cube"), F.path(3), randgen.random_tf_maximal(9, 1)]
+    inputs = {"rotation_json": formats.encode_rotation_json(graphs[2]),
+              "planar_code": formats.encode_planar_code(graphs),
+              "graph6": b"\n".join(map(formats.encode_graph6, graphs))}
+    rng = random.Random(11)
+    for fmt, valid in inputs.items():
+        assert len(formats.parse(valid, fmt, allow_unverified=True)) >= 1
+        for _ in range(1000):
+            data = bytearray(valid)
+            for _ in range(rng.randint(1, 4)):
+                at = rng.randrange(len(data) + 1)
+                op = rng.randrange(3)
+                if op == 0 and at < len(data):
+                    data[at] = rng.randrange(256)
+                elif op == 1:
+                    data[at:at] = bytes([rng.randrange(256)])
+                else:
+                    del data[at:at + rng.randint(1, 3)]
+            try:
+                formats.parse(bytes(data), fmt, allow_unverified=True)
+            except FireContainError:
+                pass
