@@ -1,13 +1,12 @@
 """Firefighter-process toolkit for embedded planar graphs."""
 
-from .embedding import EmbeddedGraph, Face, build, density_report
+from .embedding import EmbeddedGraph, Face, build
 from .families import FamilySpec, generate
 
 __all__ = [
     "EmbeddedGraph",
     "Face",
     "build",
-    "density_report",
     "FamilySpec",
     "generate",
 ]

@@ -263,8 +263,6 @@ def augment_maximal_planar(g: EmbeddedGraph) -> EmbeddedGraph:
     rerooted to the next vertex.  Returns ``g`` itself when it is
     already maximal planar.
     """
-    g.require_verified()
-
     def fan_chord(b: DartBuilder, face: tuple[int, ...]) -> tuple[int, int]:
         k = len(face)  # roots in increasing vertex id, then walk position
         for _, i in sorted((v, i) for i, v in enumerate(face)):

@@ -68,9 +68,6 @@ class ClassificationReport:
     def y_vertices(self) -> list[int]:
         return [v for v, lab in self.labels.items() if lab[0] == "Y"]
 
-    def count(self, label: str) -> int:
-        return sum(1 for lab in self.labels.values() if lab == label)
-
     def counts(self) -> dict[str, int]:
         out: dict[str, int] = {}
         for lab in self.labels.values():
@@ -109,7 +106,6 @@ def _square_sides(g: EmbeddedGraph, u: int, v: int) -> int:
 def contiguous_elements(g: EmbeddedGraph, v: int) -> list[Element]:
     """Faces incident with v plus vertices 4-opposite or 4-adjacent to v
     (each element listed once)."""
-    g.require_verified()
     out = [Element("face", f.id, f.degree) for f in g.incident_faces(v)]
     seen = {u for u in g.adjacency[v] if four_adjacent(g, v, u)}
     seen.update(u for u, _ in _opposite_partners(g, v))
@@ -233,10 +229,6 @@ class EscapePath:
     """
     path: tuple[int, ...]
     donor: tuple[str, int]
-
-    @property
-    def length(self) -> int:
-        return len(self.path) - 1
 
 
 def grid_neighborhood_test(g: EmbeddedGraph, v: int, kind: str

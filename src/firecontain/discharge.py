@@ -331,13 +331,12 @@ def _check_crude(g, ledger, vertex_caps, face_caps) -> bool:
     for t in ledger.transfers:
         key = (t.rule, t.donor)
         counts[key] = counts.get(key, 0) + 1
-    faces = {f.id: f for f in g.faces()} if face_caps else {}
     for (rule, donor), cnt in counts.items():
         kind, eid = donor
         if kind == "vertex" and rule in vertex_caps:
             if cnt > vertex_caps[rule] * g.degree(eid):
                 return False
         if kind == "face" and rule in face_caps:
-            if cnt > face_caps[rule] * faces[eid].degree:
+            if cnt > face_caps[rule] * g.faces()[eid].degree:
                 return False
     return True

@@ -16,8 +16,6 @@ its own faces on first use.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import inf
@@ -25,7 +23,6 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     AsymmetricAdjacency,
-    BadParameter,
     ContainsTriangle,
     Disconnected,
     EmbeddingInconsistent,
@@ -102,9 +99,6 @@ class EmbeddedGraph:
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n)
                 for v in self.rotations[u] if u < v]
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, EmbeddedGraph)
@@ -192,9 +186,6 @@ class EmbeddedGraph:
                     dist[w] = dist[u] + 1
                     queue.append(w)
         return dist
-
-    def distance(self, u: int, v: int) -> int:
-        return self.distances_from(u)[v]
 
     def girth(self) -> float:
         """Length of a shortest cycle, or math.inf for forests."""
@@ -326,27 +317,3 @@ def build(
     if unreached:
         raise Disconnected(f"only {n - unreached} of {n} vertices reachable")
     return g
-
-
-@dataclass(frozen=True)
-class DensityReport:
-    avg_degree: Fraction
-    girth: float
-    bound: Fraction
-    bound_satisfied: bool
-
-
-def density_report(g: EmbeddedGraph) -> DensityReport:
-    """Average degree against the Euler bound matching the girth regime."""
-    if g.n < 2:
-        raise BadParameter("need at least two vertices")
-    avg = Fraction(2 * g.num_edges, g.n)
-    gth = g.girth()
-    if gth >= 6:  # includes forests (girth inf)
-        bound = Fraction(3)
-    elif gth == 5:
-        bound = Fraction(10, 3)
-    else:
-        bound = Fraction(6)
-    return DensityReport(avg_degree=avg, girth=gth, bound=bound,
-                         bound_satisfied=avg < bound)

@@ -16,8 +16,8 @@ built-in strategies read the masks; a custom strategy may read
 ``burning`` and ``protected`` as frozensets, made on first access.  A
 capped run stops as soon as the burned count passes the cap: the count
 only grows, so such a probe could never be accepted.  A run is its
-masks: a trace keeps each round's (protected, burned) masks, and builds
-round records from them only when ``rounds`` is read.
+masks: a trace keeps each round's (protected, burned) masks, which
+``to_json`` and ``render`` read as vertex lists.
 
 Exact search: both searches hold vertex sets as ``int`` masks on one
 bitset layer, with the neighbour masks cached on the graph.
@@ -109,26 +109,15 @@ class FireState:
         return frozenset(_vertices(self.protected_mask))
 
 
-class RoundRecord(NamedTuple):
-    protect: tuple[int, ...]
-    burned: tuple[int, ...]
-
-
 class SimTrace(NamedTuple):
     """One run is its masks: the (protected, burned) masks of each round,
-    which ``rounds`` reads as vertex tuples, beside its start, schedule,
-    saved count and the graph's order."""
+    beside its start, schedule, saved count and the graph's order."""
 
     start: int
     schedule: Schedule
     masks: tuple[tuple[int, int], ...]
     saved: int
     n: int
-
-    @property
-    def rounds(self) -> tuple[RoundRecord, ...]:
-        return tuple(RoundRecord(tuple(_vertices(p)), tuple(_vertices(b)))
-                     for p, b in self.masks)
 
     @property
     def burned_count(self) -> int:

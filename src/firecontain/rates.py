@@ -156,7 +156,6 @@ def certify_bound(g: EmbeddedGraph, theorem: str, instance: str = "",
     if theorem == "thm2_girth5":
         report = classify.classify_girth5(g)
     elif theorem == "thm3_planar":
-        g.require_verified()
         if all(f.degree == 3 for f in g.faces()):
             report = classify.classify_planar(g)
     else:  # thm5_trianglefree

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 
 from .embedding import EmbeddedGraph
-from .engine import SimTrace
+from .engine import SimTrace, _vertices
 
 _SCALE = 60.0
 _MARGIN = 40.0
@@ -36,10 +36,10 @@ def render_round(g: EmbeddedGraph, trace: SimTrace, upto: int) -> str:
     pts = _layout(g)
     burned = {trace.start: 0}
     protected: dict[int, int] = {}
-    for rno, rec in enumerate(trace.rounds[:upto], start=1):
-        for v in rec.protect:
+    for rno, (prot, burn) in enumerate(trace.masks[:upto], start=1):
+        for v in _vertices(prot):
             protected[v] = rno
-        for v in rec.burned:
+        for v in _vertices(burn):
             burned[v] = rno
     width = max(p[0] for p in pts) + _MARGIN
     height = max(p[1] for p in pts) + _MARGIN
@@ -76,5 +76,5 @@ def render_round(g: EmbeddedGraph, trace: SimTrace, upto: int) -> str:
 
 
 def render_trace(g: EmbeddedGraph, trace: SimTrace) -> list[str]:
-    """SVG documents for rounds 0 .. len(trace.rounds)."""
-    return [render_round(g, trace, k) for k in range(len(trace.rounds) + 1)]
+    """SVG documents for rounds 0 .. len(trace.masks)."""
+    return [render_round(g, trace, k) for k in range(len(trace.masks) + 1)]

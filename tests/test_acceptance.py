@@ -58,7 +58,7 @@ def test_criterion_2_rect_strategy():
     trace = run_simulation(g, centre, Schedule.constant(2), plan_strategy(
         strategies.checked_grid_plan(g, centre, "rect")))
     assert trace.burned_count <= 18
-    assert len(trace.rounds) <= 8
+    assert len(trace.masks) <= 8
     assert time.monotonic() - t0 <= 5
 
 

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from firecontain import families as F, randgen
-from firecontain.embedding import build, density_report
+from firecontain.embedding import build
 from firecontain.errors import (
     AsymmetricAdjacency,
     Disconnected,
@@ -61,7 +61,7 @@ def _same_faces(g):
     assert g.faces() == faces
     for (u, v), fs in edge_faces.items():
         assert g.edge_faces(u, v) == g.edge_faces(v, u) == fs
-    assert [g.incident_faces(v) for v in g.vertices()] == vertex_faces
+    assert [g.incident_faces(v) for v in range(g.n)] == vertex_faces
 
 
 @pytest.mark.parametrize("g", list(_face_corpus()), ids=repr)
@@ -131,16 +131,7 @@ def test_unverified_embedding_refuses_faces():
         g.faces()
 
 
-def test_density_report():
-    rep = density_report(F.platonic("dodecahedron"))
-    assert rep.girth == 5
-    assert rep.bound_satisfied
-    rep = density_report(F.path(4))
-    assert rep.girth == math.inf
-    assert rep.bound == 3 and rep.bound_satisfied
-
-
 def test_distances():
     g = F.path(5)
-    assert g.distance(0, 4) == 4
+    assert g.distances_from(0)[4] == 4
     assert g.distances_from(2) == [2, 1, 0, 1, 2]

@@ -69,7 +69,7 @@ def test_run_simulation_terminates_and_counts():
     assert trace.burned_count == 8
     # protecting fewer than the budget is legal (null strategy always does)
     trace = run_simulation(g, 1, Schedule.constant(3), null_strategy)
-    assert trace.burned_count == 8 and len(trace.rounds) == 2
+    assert trace.burned_count == 8 and len(trace.masks) == 2
 
 
 def test_strategy_budget_violation():
@@ -165,7 +165,7 @@ def test_containment_matches_reference(force_dfs, monkeypatch):
                 if res.feasible:
                     t = replay(g, res.trace)
                     assert t.burned_count <= cap
-                    assert len(t.rounds) <= cap
+                    assert len(t.masks) <= cap
 
 
 def test_containment_trivial_small_graph():
@@ -309,7 +309,7 @@ def _random_strategy(seed, fault):
     rng = random.Random(seed)
 
     def decide(g, state, budget):
-        free = sorted(set(g.vertices()) - state.burning - state.protected)
+        free = sorted(set(range(g.n)) - state.burning - state.protected)
         picks = rng.sample(free, min(len(free), rng.randint(0, budget)))
         if rng.random() < fault:
             kind = rng.choice(("burning", "protected", "repeat", "over"))

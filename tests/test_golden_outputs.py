@@ -1,7 +1,7 @@
 """Golden outputs: sha256 digests of generated graphs, builder face lists,
 triangle-free classification/audit/certificate JSON, girth-5 rate and
 certificate JSON, containment-search results on the region-enumeration
-corpus and CLI output on fixed seeds.
+corpus, rendered SVG rounds and CLI output on fixed seeds.
 A change to construction, classification, discharging or the search that
 is meant to keep every output byte-identical must keep these."""
 import hashlib
@@ -9,8 +9,8 @@ import json
 
 import pytest
 
-from firecontain import augment, classify, cli, discharge, engine, formats
-from firecontain import rates, randgen
+from firecontain import augment, classify, cli, discharge, engine, families
+from firecontain import formats, rates, randgen, render
 from test_search_core import REGION_ENUM_CASES
 
 GRAPH_DIGESTS = {
@@ -117,6 +117,16 @@ REGION_ENUM_DIGESTS = {
     "hex_patch(2)":
         "a585eb853851eef7c5de9a50dabee7953b00e62d25b7afb8e4e859160c4a871a",
 }
+# render_trace of the k = 1 sn_exact trace from one start: two graphs
+# with positions, one drawn on a circle
+RENDER_DIGESTS = {
+    "rect_grid(5,5)":
+        "9a6f197b459f9a2b4db80e41ffe84e3f7ec20c39417b10b9a2725f0d66f6b16a",
+    "hex_patch(3)":
+        "42cf72b520fa541c0af1d4dbd7ccdcf9405f9340f109c8a44f499262d1e29911",
+    "random_triangulation(40,3)":
+        "044bade65fa5fb962115f88ed321fb0db8da5f681fb25c72f2704d4f606803fb",
+}
 CLI_DIGESTS = {
     "classify":
         "614a653d8e9cd49d1c8a2d2494975c0d72160e81f5c7b161c8362b6a9d84152d",
@@ -203,6 +213,18 @@ def test_region_enumeration_outputs():
         got[name] = _digest(out)
     assert statuses == {"feasible", "infeasible", "timeout"}
     assert got == REGION_ENUM_DIGESTS
+
+
+def test_render_outputs():
+    got = {}
+    for name, g, start in (
+            ("rect_grid(5,5)", families.rect_grid(5, 5), 12),
+            ("hex_patch(3)", families.hex_patch(3), 0),
+            ("random_triangulation(40,3)",
+             randgen.random_triangulation(40, 3), 0)):
+        trace = engine.sn_exact(g, start, engine.Schedule.constant(1)).trace
+        got[name] = _digest(render.render_trace(g, trace))
+    assert got == RENDER_DIGESTS
 
 
 @pytest.mark.parametrize("argv", [

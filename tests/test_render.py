@@ -23,7 +23,7 @@ def test_render_trace_progression():
     g = F.platonic("cube")
     trace = _trace(g, 0, Schedule.constant(1))
     svgs = render.render_trace(g, trace)
-    assert len(svgs) == len(trace.rounds) + 1
+    assert len(svgs) == len(trace.masks) + 1
 
     def burned_squares(svg):
         root = ET.fromstring(svg)

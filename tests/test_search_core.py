@@ -151,7 +151,7 @@ def test_square_grid_cap18_plan_from_the_centre():
     assert res.status == "feasible" and res.nodes == 56_468
     trace = engine.replay(g, res.trace)
     assert trace == res.trace
-    assert trace.burned_count <= 18 and len(trace.rounds) <= 18
+    assert trace.burned_count <= 18 and len(trace.masks) <= 18
 
 
 def test_contain_by_dfs_timeouts_inside_counted_blocks():

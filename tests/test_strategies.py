@@ -68,7 +68,7 @@ def test_rect_plan_caps_are_met_by_a_searched_plan():
     assert res.status == "feasible" and res.nodes == 56_468
     trace = engine.replay(g, res.trace)
     assert trace == res.trace
-    assert trace.burned_count <= 18 and len(trace.rounds) <= 8
+    assert trace.burned_count <= 18 and len(trace.masks) <= 8
 
 
 def test_lattice_map_hex():
@@ -110,7 +110,7 @@ def test_hex_strategy_contract():
         g = F.hex_patch(radius)
         trace = replay(g, 0, Schedule(4, 3), checked_grid_plan(g, 0, "hex"))
         assert trace.burned_count <= 6
-        assert len(trace.rounds) <= 4
+        assert len(trace.masks) <= 4
 
 
 def test_hex_strategy_not_applicable_near_boundary():
@@ -126,7 +126,7 @@ def test_rect_strategy_contract():
         trace = replay(g, centre, Schedule.constant(2),
                        checked_grid_plan(g, centre, "rect"))
         assert trace.burned_count <= 18
-        assert len(trace.rounds) <= 8
+        assert len(trace.masks) <= 8
 
 
 def test_rect_strategy_not_applicable_small_grid():
